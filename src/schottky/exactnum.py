@@ -17,8 +17,8 @@ Rat = Union[int, Fraction]
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division.
 
-    Inputs here are small (primes of places, user-supplied scale factors),
-    so trial division is plenty.
+    Inputs here are small (user-supplied scale factors), so trial
+    division is plenty.
     """
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
@@ -65,14 +65,15 @@ class GaussianRational:
     """An element a + b*i with a, b exact rationals.
 
     Immutable; supports field arithmetic, conjugation and exact square
-    roots (when they exist in the Gaussian rationals).
+    roots (when they exist in the Gaussian rationals).  When both
+    operands are real, ``+ - * /`` cost a single ``Fraction`` operation.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("GaussianRational is immutable")
@@ -94,10 +95,10 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return not self.im
 
     # -- arithmetic -------------------------------------------------------
 
@@ -105,18 +106,22 @@ class GaussianRational:
         other = as_gaussian(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if not self.im and not other.im:
+            return _gq(self.re + other.re, _F0)
+        return _gq(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gq(-self.re, -self.im)
 
     def __sub__(self, other):
         other = as_gaussian(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if not self.im and not other.im:
+            return _gq(self.re - other.re, _F0)
+        return _gq(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = as_gaussian(other)
@@ -128,10 +133,10 @@ class GaussianRational:
         other = as_gaussian(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return _gq(a * c, _F0)
+        return _gq(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -139,12 +144,13 @@ class GaussianRational:
         other = as_gaussian(other)
         if other is None:
             return NotImplemented
-        n2 = other.norm2()
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d and c:
+            return _gq(a / c, _F0)
+        n2 = c * c + d * d
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        c = other.conj()
-        num = self * c
-        return GaussianRational(num.re / n2, num.im / n2)
+        return _gq((a * c + b * d) / n2, (b * c - a * d) / n2)
 
     def __rtruediv__(self, other):
         other = as_gaussian(other)
@@ -153,7 +159,7 @@ class GaussianRational:
         return other / self
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gq(self.re, -self.im)
 
     def norm2(self) -> Fraction:
         """re^2 + im^2 (the squared complex modulus, an exact rational)."""
@@ -188,11 +194,22 @@ class GaussianRational:
         return GaussianRational(Fraction(z.real), Fraction(z.imag))
 
 
+_F0 = Fraction(0)
+
+
+def _gq(re: Fraction, im: Fraction) -> GaussianRational:
+    """A GaussianRational from two Fractions, without converting them again."""
+    z = object.__new__(GaussianRational)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
+    return z
+
+
 def as_gaussian(x) -> Optional[GaussianRational]:
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(x, 0)
+        return GaussianRational(x, _F0)
     return None
 
 

@@ -460,10 +460,10 @@ def is_in_SB(pt: SchottkyPoint) -> SBResult:
     Archimedean: a one-sided Ford-disc search; Yes or unknown, never No.
     """
     if pt.place.is_nonarchimedean:
-        witness = _sb_violation(pt)
-        if witness is not None:
-            return SBResult("no", violated=witness)
-        return SBResult("yes", figure=normalized_figure(pt))
+        try:  # normalized_figure runs the inequality check first
+            return SBResult("yes", figure=normalized_figure(pt))
+        except NotInSB as e:
+            return SBResult("no", violated=e.witness)
     if pt.g == 1:
         return SBResult("yes", figure=normalized_figure(pt))
     fig = _arch_ford_search(pt)

@@ -111,7 +111,11 @@ def wedge(x: ProjPoint, y: ProjPoint) -> GaussianRational:
 
 @dataclass(frozen=True)
 class Moebius:
-    """z -> (a z + b) / (c z + d) with Gaussian-rational entries."""
+    """z -> (a z + b) / (c z + d) with Gaussian-rational entries.
+
+    The determinant is computed once, at construction; products and
+    inverses carry it over instead of recomputing it.
+    """
 
     a: GaussianRational
     b: GaussianRational
@@ -124,11 +128,20 @@ class Moebius:
             if v is None:
                 raise TypeError("matrix entries must be Gaussian rationals")
             object.__setattr__(self, name, v)
-        if self.det().is_zero():
+        det = self.a * self.d - self.b * self.c
+        if det.is_zero():
             raise ValueError("matrix is singular")
+        object.__setattr__(self, "_det", det)
+
+    @staticmethod
+    def _carrying(a, b, c, d, det: GaussianRational) -> "Moebius":
+        """A matrix whose determinant ad - bc is already known (nonzero)."""
+        m = object.__new__(Moebius)
+        m.__dict__.update(a=a, b=b, c=c, d=d, _det=det)
+        return m
 
     def det(self) -> GaussianRational:
-        return self.a * self.d - self.b * self.c
+        return self._det
 
     def tr(self) -> GaussianRational:
         return self.a + self.d
@@ -143,15 +156,16 @@ class Moebius:
     def __mul__(self, other: "Moebius") -> "Moebius":
         if not isinstance(other, Moebius):
             return NotImplemented
-        return Moebius(
+        return Moebius._carrying(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
+            self._det * other._det,
         )
 
     def inverse(self) -> "Moebius":
-        return Moebius(self.d, -self.b, -self.c, self.a)
+        return Moebius._carrying(self.d, -self.b, -self.c, self.a, self._det)
 
     def apply(self, pt: ProjPoint) -> ProjPoint:
         return ProjPoint(self.a * pt.u + self.b * pt.v,
@@ -161,12 +175,16 @@ class Moebius:
         return self.apply(pt)
 
     def same_as(self, other: "Moebius") -> bool:
-        """Equality in PGL_2 (projective equality of matrices)."""
-        s, o = self.canonical(), other.canonical()
-        return (s.a, s.b, s.c, s.d) == (o.a, o.b, o.c, o.d)
+        """Equality in PGL_2: the entry vectors are proportional, i.e. the
+        six 2x2 cross-products of the two entry vectors vanish."""
+        s = (self.a, self.b, self.c, self.d)
+        o = (other.a, other.b, other.c, other.d)
+        return all(s[i] * o[j] == s[j] * o[i]
+                   for i in range(4) for j in range(i + 1, 4))
 
     def is_identity(self) -> bool:
-        return self.same_as(IDENTITY)
+        # The six cross-products against (1, 0, 0, 1) are b, c and a - d.
+        return self.b.is_zero() and self.c.is_zero() and self.a == self.d
 
     def multiplier_invariant(self) -> GaussianRational:
         """tr^2/det: a conjugacy invariant, equals beta + 2 + 1/beta."""

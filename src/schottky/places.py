@@ -18,8 +18,6 @@ from fractions import Fraction
 import math
 from typing import Optional, Sequence, Union
 
-import mpmath
-
 from .exactnum import (
     GaussianRational,
     Rat,
@@ -89,9 +87,39 @@ class Place:
         return not self.is_archimedean
 
 
+# Miller-Rabin over the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _check_prime(p: int) -> None:
-    if p < 2 or factorize(p) != {p: 1}:
+    if p >= _MR_LIMIT:
+        raise PlaceError(f"prime must be below {_MR_LIMIT}")
+    if p < 2 or not _is_prime(p):
         raise PlaceError(f"{p} is not prime")
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < _MR_LIMIT."""
+    if n in _MR_BASES:
+        return True
+    if any(n % b == 0 for b in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +194,10 @@ class ExactValue(AbsValue):
     scale factors and their rational powers.  Products, quotients and
     rational powers stay in the class; comparisons clear denominators
     and compare integers, hence are exact even across different primes.
+    When both operands are powers of one prime p, compare, multiply and
+    divide work on the exponents of p alone.
+
+    Invariant: ``factors`` maps primes to nonzero ``Fraction`` exponents.
     """
 
     __slots__ = ("factors",)
@@ -173,6 +205,22 @@ class ExactValue(AbsValue):
     def __init__(self, factors: dict[int, Fraction]):
         clean = {b: Fraction(e) for b, e in factors.items() if e != 0}
         object.__setattr__(self, "factors", clean)
+
+    @staticmethod
+    def _make(factors: dict[int, Fraction]) -> "ExactValue":
+        """Wrap factors that already keep the invariant."""
+        v = object.__new__(ExactValue)
+        object.__setattr__(v, "factors", factors)
+        return v
+
+    def _one_prime(self, other: "ExactValue"):
+        """(p, e, f) with self = p^e and other = p^f when the two values
+        involve exactly one prime p between them, else None."""
+        primes = self.factors.keys() | other.factors.keys()
+        if len(primes) != 1:
+            return None
+        (p,) = primes
+        return p, self.factors.get(p, _F0), other.factors.get(p, _F0)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ExactValue is immutable")
@@ -197,7 +245,8 @@ class ExactValue(AbsValue):
     @staticmethod
     def p_power(p: int, exponent: Fraction) -> "ExactValue":
         """The value p^exponent."""
-        return ExactValue({p: Fraction(exponent)})
+        e = exponent if type(exponent) is Fraction else Fraction(exponent)
+        return ExactValue._make({p: e} if e else {})
 
     def is_one(self) -> bool:
         return not self.factors
@@ -210,6 +259,10 @@ class ExactValue(AbsValue):
             return (a > b) - (a < b)
         if not isinstance(other, ExactValue):
             return NotImplemented
+        one = self._one_prime(other)
+        if one is not None:  # p > 1, so p^e vs p^f orders like e vs f
+            _, e, f = one
+            return (e > f) - (e < f)
         diff: dict[int, Fraction] = dict(self.factors)
         for b, e in other.factors.items():
             diff[b] = diff.get(b, Fraction(0)) - e
@@ -232,6 +285,10 @@ class ExactValue(AbsValue):
         if isinstance(other, ApproxReal):
             return ApproxReal(self.to_float() * other.value)
         if isinstance(other, ExactValue):
+            one = self._one_prime(other)
+            if one is not None:
+                p, e, f = one
+                return ExactValue.p_power(p, e + f)
             fac = dict(self.factors)
             for b, e in other.factors.items():
                 fac[b] = fac.get(b, Fraction(0)) + e
@@ -244,6 +301,10 @@ class ExactValue(AbsValue):
 
     def __truediv__(self, other):
         if isinstance(other, ExactValue):
+            one = self._one_prime(other)
+            if one is not None:
+                p, e, f = one
+                return ExactValue.p_power(p, e - f)
             return self * other ** -1
         if isinstance(other, ApproxReal):
             return ApproxReal(self.to_float() / other.value)
@@ -253,10 +314,12 @@ class ExactValue(AbsValue):
 
     def __pow__(self, k: Rat) -> "ExactValue":
         k = Fraction(k)
-        return ExactValue({b: e * k for b, e in self.factors.items()})
+        if not k:
+            return ONE_ABS
+        return ExactValue._make({b: e * k for b, e in self.factors.items()})
 
     def sqrt(self) -> "ExactValue":
-        return self ** Fraction(1, 2)
+        return self ** _HALF
 
     def to_float(self) -> float:
         return math.exp(sum(float(e) * math.log(b) for b, e in self.factors.items()))
@@ -279,6 +342,8 @@ class ExactValue(AbsValue):
         return f"|{parts}|"
 
 
+_F0 = Fraction(0)
+_HALF = Fraction(1, 2)
 ONE_ABS = ExactValue.one()
 
 
@@ -400,6 +465,8 @@ def hybrid_section_eval(coeffs: Sequence[Rat], r: Rat, eps: Rat) -> float:
     max(|a_i|_0 r^i); intermediate values r^(1/eps) can be astronomically
     small or large, so the evaluation runs through mpmath.
     """
+    import mpmath  # only this function needs it; keeps imports fast
+
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise PlaceError("archimedean exponent must lie in (0, 1]")

@@ -87,6 +87,13 @@ def place_to_json(place: Place) -> dict:
     return out
 
 
+def _prime_from_json(obj) -> int:
+    p = _get(obj, "p", "place")
+    if type(p) is not int:  # rejects bool, float and string
+        raise TypeError(f"p must be a JSON integer, not {type(p).__name__}")
+    return p
+
+
 def place_from_json(obj) -> Place:
     kind = _get(obj, "kind", "place")
     eps = rat_from_json(obj.get("eps", "1"), "place.eps")
@@ -94,11 +101,11 @@ def place_from_json(obj) -> Place:
         if kind in ("arch", "archimedean"):
             return Place.archimedean(eps)
         if kind == "padic":
-            return Place.padic(int(_get(obj, "p", "place")), eps)
+            return Place.padic(_prime_from_json(obj), eps)
         if kind == "trivial_q":
             return Place.trivial_q()
         if kind == "trivial_fp":
-            return Place.trivial_fp(int(_get(obj, "p", "place")))
+            return Place.trivial_fp(_prime_from_json(obj))
     except (ValueError, TypeError) as e:
         raise MalformedInput(f"place: {e}") from e
     raise MalformedInput(f"place: unknown kind {kind!r}")

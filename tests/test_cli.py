@@ -77,6 +77,15 @@ def test_malformed_inputs(capsys):
     assert code == EXIT_MALFORMED
 
 
+@pytest.mark.parametrize("p_text", ["2.5", "1e400", '"2"', "true"])
+def test_prime_must_be_a_json_integer(capsys, p_text):
+    # 2.5 used to be read as 2, and 1e400 ended in an OverflowError.
+    doc = DUMBBELL.replace('"p": 2', '"p": ' + p_text)
+    code, rep = run(capsys, "verify", "--json", doc)
+    assert code == EXIT_MALFORMED
+    assert "p must be a JSON integer" in rep["error"]
+
+
 def test_limitset_padic(capsys):
     code, rep = run(capsys, "limitset", "--json", DUMBBELL, "--depth", "3")
     assert code == EXIT_YES

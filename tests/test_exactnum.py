@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -80,3 +81,53 @@ def test_as_gaussian_coercions():
     assert as_gaussian(3) == GaussianRational(3)
     assert as_gaussian(Fraction(1, 2)).re == Fraction(1, 2)
     assert as_gaussian("nope") is None
+
+
+# -- real-operand fast paths against the full complex formulas ----------------
+
+maybe_zero = st.one_of(st.just(Fraction(0)), rationals)
+
+
+def _full_formula(op, z, w):
+    """(re, im) of z op w by the general complex formula."""
+    a, b, c, d = z.re, z.im, w.re, w.im
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n2 = c * c + d * d
+    if n2 == 0:
+        raise ZeroDivisionError
+    return (a * c + b * d) / n2, (b * c - a * d) / n2
+
+
+OPS = {"+": operator.add, "-": operator.sub,
+       "*": operator.mul, "/": operator.truediv}
+
+
+@given(maybe_zero, maybe_zero, maybe_zero, maybe_zero,
+       st.sampled_from("+-*/"))
+@settings(max_examples=250, deadline=None)
+def test_real_operand_ops_match_full_formula(a, b, c, d, op):
+    # Every real/complex combination of the two operands, so the real-real
+    # fast path, the mixed cases and zero operands all occur.
+    for z, w in ((GaussianRational(a), GaussianRational(c)),
+                 (GaussianRational(a, b), GaussianRational(c)),
+                 (GaussianRational(a), GaussianRational(c, d)),
+                 (GaussianRational(a, b), GaussianRational(c, d))):
+        try:
+            want = _full_formula(op, z, w)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                OPS[op](z, w)
+            continue
+        got = OPS[op](z, w)
+        assert (got.re, got.im) == want
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        if w.im == 0 and c.denominator == 1:  # plain int operands
+            assert OPS[op](z, int(c)) == got
+            if op != "/" or not z.is_zero():
+                rev = OPS[op](int(c), z)
+                assert (rev.re, rev.im) == _full_formula(op, w, z)

@@ -14,6 +14,7 @@ from schottky import (
     schottky_point,
     word_disc,
 )
+from schottky import figures
 from schottky.exactnum import GaussianRational
 from schottky.figures import (
     BudgetExceeded,
@@ -172,6 +173,17 @@ def test_is_in_SB_no_with_witness():
     assert res.violated[0] == 1  # first generator's inequality fails
     with pytest.raises(NotInSB):
         normalized_figure(pt)
+
+
+def test_is_in_SB_checks_inequalities_once(monkeypatch, dumbbell):
+    calls = []
+    real = figures._sb_violation
+    monkeypatch.setattr(figures, "_sb_violation",
+                        lambda pt: calls.append(pt) or real(pt))
+    rejected = schottky_point(P2, [Fraction(2), Fraction(2)], [Fraction(2)])
+    assert is_in_SB(rejected).violated == real(rejected)
+    assert is_in_SB(dumbbell).status == "yes"
+    assert len(calls) == 2
 
 
 def test_is_schottky_dumbbell(dumbbell):

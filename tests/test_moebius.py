@@ -215,3 +215,45 @@ def test_arch_disc_geometry():
     assert discs_disjoint(arch, img, d) is True
     borderline = Disc(GaussianRational(2), ApproxReal(1.0))
     assert discs_disjoint(arch, borderline, d) is None  # tangent: no verdict
+
+
+# -- carried determinants and projective equality -----------------------------
+
+entry = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
+gaussian = st.builds(GaussianRational, entry, st.one_of(st.just(0), entry))
+matrices = st.tuples(gaussian, gaussian, gaussian, gaussian).filter(
+    lambda e: not (e[0] * e[3] - e[1] * e[2]).is_zero()).map(
+    lambda e: Moebius(*e))
+
+
+@given(matrices, st.lists(st.tuples(st.sampled_from(["mul", "inv", "rmul"]),
+                                    matrices), max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_carried_det_matches_entries(m, steps):
+    for op, n in steps:
+        m = {"mul": lambda: m * n, "rmul": lambda: n * m,
+             "inv": lambda: m.inverse()}[op]()
+        assert m.det() == m.a * m.d - m.b * m.c
+        assert not m.det().is_zero()
+
+
+def _canonical_entries(m):
+    c = m.canonical()
+    return (c.a, c.b, c.c, c.d)
+
+
+@given(matrices, matrices, gaussian, st.sampled_from(["other", "multiple", "tweak"]))
+@settings(max_examples=150, deadline=None)
+def test_same_as_matches_canonical_forms(m, n, s, how):
+    if how == "multiple" and not s.is_zero():
+        n = Moebius(s * m.a, s * m.b, s * m.c, s * m.d)
+    elif how == "tweak" and not (m.d + s).is_zero() and not (
+            m.a * (m.d + s) - m.b * m.c).is_zero():
+        n = Moebius(m.a, m.b, m.c, m.d + s)
+    want = _canonical_entries(m) == _canonical_entries(n)
+    assert m.same_as(n) == want and n.same_as(m) == want
+    assert m.is_identity() == (_canonical_entries(m) == (1, 0, 0, 1))
+    if not m.a.is_zero() and not m.d.is_zero():
+        assert moebius(m.a, 0, 0, m.d).is_identity() == (m.a == m.d)
+    if how == "multiple" and not s.is_zero():
+        assert want and moebius(s, 0, 0, s).is_identity()

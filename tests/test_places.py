@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -119,3 +120,56 @@ def test_hybrid_section_eval_converges():
             for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000))]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
+
+
+# -- single-prime fast paths against the multi-prime path ---------------------
+
+exponents = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=7))
+primes = st.sampled_from([2, 3, 5])
+
+
+def _with_witness(v):
+    """v * 7, built without arithmetic: 7 is a prime no operand uses, so
+    operations on such values take the general multi-prime path, and
+    the common factor changes no answer."""
+    return ExactValue({**v.factors, 7: 1})
+
+
+def _without_witness(v):
+    return {b: e for b, e in v.factors.items() if b != 7}
+
+
+def _invariant(v):
+    return all(e != 0 and type(e) is Fraction for e in v.factors.values())
+
+
+@given(primes, exponents, primes, exponents, exponents)
+@settings(max_examples=300, deadline=None)
+def test_single_prime_ops_match_general_path(p, e, q, f, k):
+    # e or f equal to 0 gives an empty factor dict; q may differ from p;
+    # y = x**-1 makes the exponents of x*y cancel to 0.
+    x = ExactValue.p_power(p, e)
+    for y in (ExactValue.p_power(q, f), x ** -1, x):
+        xw, yw = _with_witness(x), _with_witness(y)
+        assert x.cmp(y) == xw.cmp(yw)
+        assert (x * y).factors == _without_witness(xw * y)
+        assert (x / y).factors == _without_witness(xw / y)
+        assert _invariant(x * y) and _invariant(x / y)
+    general = ExactValue({b: e * k for b, e in x.factors.items()})
+    assert (x ** k).factors == general.factors
+    assert _invariant(x ** k) and _invariant(x.sqrt())
+
+
+def test_prime_check_is_fast_and_bounded():
+    start = time.perf_counter()
+    assert Place.padic(10000000000000061).p == 10000000000000061  # 17 digits
+    with pytest.raises(PlaceError):
+        Place.padic(10000000000000063)  # 193 * 373 * 17333 * 8014199
+    assert time.perf_counter() - start < 1.0
+    # 3825123056546413051 is a strong pseudoprime to every prime base 2..31.
+    with pytest.raises(PlaceError):
+        Place.padic(3825123056546413051)
+    with pytest.raises(PlaceError):
+        Place.padic(2 ** 89 - 1)  # prime, but beyond the exact range
+    assert Place.padic(2 ** 61 - 1).p == 2 ** 61 - 1
