@@ -14,22 +14,22 @@ import json
 import sys
 from fractions import Fraction
 
-from .exactnum import GaussianRational
 from .places import (
     ExactValue,
+    ONE_ABS,
     Place,
-    abs_value,
     gauss_seminorm,
     hybrid_section_eval,
 )
-from .moebius import ProjPoint, cross_ratio, disc_shape
+from .moebius import disc_shape
 from .figures import (
     BudgetExceeded,
-    ReducedWord,
+    NotInSB,
     conjugacy_classes_upto,
     is_in_SB,
     is_schottky,
     limit_sample,
+    sb_window,
     schottky_point,
 )
 from . import serialize as ser
@@ -244,31 +244,22 @@ def cmd_act(args) -> int:
 _HYBRID_POLYS = [("T", [0, 1]), ("T+1", [1, 1]), ("3T^2+5", [5, 0, 3])]
 
 
-def _trivial_fiber_check(rs: list[Fraction], fixed: list[Fraction]) -> dict:
-    """SB inequalities on the trivially-valued fiber, checked exactly.
+def _trivial_fiber(rs: list[Fraction]) -> dict:
+    """The good-basis windows on the trivially valued fiber.
 
-    The fiber point has |Y_i| = r_i while every nonzero rational
-    cross-ratio of the fixed points has trivial absolute value 1, so
-    each inequality reduces to r_i < 1.
+    The fiber point has |Y_i| = r_i, and in generator i's chart every
+    other fixed point has trivial absolute value 1, so the window of
+    generator i is (r_i, 1) and decides all (2g - 2)^2 of its
+    inequalities at once.
     """
-    place = Place.trivial_q()
-    g = len(rs)
-    pts = [ProjPoint.finite(GaussianRational(0)), ProjPoint.infinity()]
-    if g >= 2:
-        pts.append(ProjPoint.finite(GaussianRational(1)))
-        pts.extend(ProjPoint.finite(GaussianRational(f)) for f in fixed)
-    pairs = [(pts[2 * i], pts[2 * i + 1]) for i in range(g)]
-    checked = 0
-    for i, (ai, aip) in enumerate(pairs):
-        ri = ExactValue.from_rational(rs[i])
-        others = [x for j, pair in enumerate(pairs) if j != i for x in pair]
-        for xj in others:
-            for xk in others:
-                val = ri * abs_value(place, cross_ratio(xj, xk, ai, aip))
-                if not val < ExactValue.one():
-                    return {"certified": False, "failed_at": i + 1}
-                checked += 1
-    return {"certified": True, "inequalities_checked": checked}
+    n = 2 * len(rs) - 2
+    try:
+        for i, r in enumerate(rs, start=1):
+            sb_window(i, ExactValue.from_rational(r),
+                      [(k, ONE_ABS) for k in range(n)])
+    except NotInSB as e:
+        return {"certified": False, "failed_at": e.witness[0]}
+    return {"certified": True, "inequalities_checked": len(rs) * n * n}
 
 
 def cmd_hybrid(args) -> int:
@@ -282,20 +273,13 @@ def cmd_hybrid(args) -> int:
         raise MalformedInput(f"fixed: expected {2 * g - 3} values for g={g}")
     grid = [ser.rat_from_json(t, "--eps-grid")
             for t in args.eps_grid.split(",")]
+    if any(not 0 < eps <= 1 for eps in grid):
+        raise MalformedInput("--eps-grid: every eps must lie in (0, 1]")
 
+    r_json = [ser.rat_to_json(r) for r in rs]
     rows = []
     for eps in grid:
-        # r^(1/eps) is an exact factored real; raising it back to eps
-        # must reproduce r on the nose.
-        y_cols = []
-        for r in rs:
-            fiber_beta = ExactValue.from_rational(r) ** (1 / eps)
-            back = fiber_beta ** eps
-            if back != ExactValue.from_rational(r):
-                raise AssertionError("hybrid section construction broke")
-            y_cols.append(ser.rat_to_json(r))
         betas = [Fraction(float(r) ** (1 / float(eps))) for r in rs]
-        status = "unsupported"
         try:
             apt = schottky_point(Place.archimedean(eps), betas, fixed)
             status = is_in_SB(apt).status
@@ -307,13 +291,11 @@ def cmd_hybrid(args) -> int:
                 gauss_seminorm(Place.trivial_q(), coeffs, rs[0]).to_float(),
                 ".17g")}
             for name, coeffs in _HYBRID_POLYS}
-        rows.append({"eps": ser.rat_to_json(eps), "abs_Y": y_cols,
+        rows.append({"eps": ser.rat_to_json(eps), "abs_Y": r_json,
                      "arch_status": status, "seminorms": sem})
 
-    _emit({"command": "hybrid",
-           "r": [ser.rat_to_json(r) for r in rs],
-           "trivial_fiber": _trivial_fiber_check(rs, fixed),
-           "rows": rows})
+    _emit({"command": "hybrid", "r": r_json,
+           "trivial_fiber": _trivial_fiber(rs), "rows": rows})
     return EXIT_YES
 
 

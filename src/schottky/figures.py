@@ -4,15 +4,16 @@ A SchottkyPoint is a normalized tuple of fixed-point/multiplier data for
 g generators at a place; a SchottkyFigure is a ping-pong certificate:
 2g pairwise disjoint closed discs with the mapping property.  At
 non-archimedean places membership in the "good basis" locus is decided
-exactly by multiplier-times-cross-ratio inequalities; archimedean
-membership is a one-sided search over twisted Ford discs.
+exactly by one radius window per generator (`sb_window`), which also
+gives the normalized figure its radii; archimedean membership is a
+one-sided search over twisted Ford discs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactnum import GaussianRational, Rat, as_gaussian
 from .moebius import (
@@ -21,9 +22,7 @@ from .moebius import (
     KoebeTriple,
     Moebius,
     NotLoxodromic,
-    PoleInsideDisc,
     ProjPoint,
-    cross_ratio,
     disc_shape,
     disc_subset,
     discs_disjoint,
@@ -128,10 +127,6 @@ class ReducedWord:
 
     def inverse(self) -> "ReducedWord":
         return ReducedWord(tuple(-x for x in reversed(self.letters)))
-
-    def is_prefix_of(self, other: "ReducedWord") -> bool:
-        n = len(self.letters)
-        return other.letters[:n] == self.letters
 
     def cyclic_reduce(self) -> "ReducedWord":
         ls = list(self.letters)
@@ -348,7 +343,7 @@ def _same_shilov(place: Place, d1: Disc, d2: Disc, tol: float = 1e-9) -> bool:
 
 
 def _complement_as_open_disc(place: Place, d: Disc) -> tuple[Moebius, Disc]:
-    """P^1 minus the closed disc d, written as chart^-1(open std disc)."""
+    """P^1 minus the closed disc d, as chart^-1(std disc): boundary only."""
     shape = disc_shape(place, d)
     if shape[0] == "std":
         _, a, r = shape
@@ -358,10 +353,10 @@ def _complement_as_open_disc(place: Place, d: Disc) -> tuple[Moebius, Disc]:
             inv_r = r ** -1
         else:
             inv_r = ApproxReal(1.0 / r.to_float())
-        return chart_inv, Disc(GaussianRational(0), inv_r, "std", closed=False)
+        return chart_inv, Disc(GaussianRational(0), inv_r)
     _, m, s = shape
     from .moebius import IDENTITY
-    return IDENTITY, Disc(m, s, "std", closed=False)
+    return IDENTITY, Disc(m, s)
 
 
 def _check_mapping(place: Place, gamma: Moebius, source: Disc, target: Disc):
@@ -430,19 +425,26 @@ def ford_figure(pt: SchottkyPoint, lambdas: Sequence[Rat]) -> SchottkyFigure:
 # -- good-basis inequalities --------------------------------------------------
 
 
-def _sb_violation(pt: SchottkyPoint):
-    """First violated inequality |beta_i| |[x_j, x_k; a_i, a_i']| < 1, or None."""
-    pts = pt.fixed_points()
-    for i, t in enumerate(pt.triples, start=1):
-        absb = abs_value(pt.place, t.beta)
-        others = [(j, s, p) for j, s, p in pts if j != i]
-        for j, sj, xj in others:
-            for k, sk, xk in others:
-                cr = cross_ratio(xj, xk, t.alpha, t.alpha_prime)
-                val = absb * abs_value(pt.place, cr)
-                if not val < ONE_ABS:
-                    return (i, (j, sj), (k, sk), val)
-    return None
+def sb_window(i: int, absb: AbsValue, others: Sequence[tuple[object, AbsValue]]
+              ) -> tuple[AbsValue, AbsValue]:
+    """The radius window (lo, hi) of generator i, or NotInSB.
+
+    ``others`` lists (label, |x|) for the other fixed points, in
+    fixed_points() order, in a chart sending generator i's fixed points
+    to (0, infinity).  There [x_j, x_k; 0, inf] = x_j / x_k, so every
+    inequality |beta_i| |x_j / x_k| < 1 holds iff lo = |beta_i| max |x|
+    is below hi = min |x|.  Otherwise the witness is the first (j, k) in
+    row-major order that fails: (i, label_j, label_k, |beta_i| |x_j / x_k|).
+    """
+    if not others:
+        return absb, ONE_ABS
+    images = [x for _, x in others]
+    lo, hi = absb * max(images), min(images)
+    if lo < hi:
+        return lo, hi
+    j, xj = next((lab, x) for lab, x in others if not absb * x < hi)
+    k, xk = next((lab, x) for lab, x in others if not absb * xj / x < ONE_ABS)
+    raise NotInSB((i, j, k, absb * xj / xk))
 
 
 @dataclass
@@ -455,12 +457,13 @@ class SBResult:
 def is_in_SB(pt: SchottkyPoint) -> SBResult:
     """Membership in the good-basis locus at the point's place.
 
-    Non-archimedean: decided exactly by the multiplier/cross-ratio
-    inequalities; Yes carries a normalized-figure certificate.
+    Non-archimedean: decided exactly by each generator's radius window
+    (`sb_window`).  Yes carries the normalized figure built from the
+    windows; No names the first violated inequality.
     Archimedean: a one-sided Ford-disc search; Yes or unknown, never No.
     """
     if pt.place.is_nonarchimedean:
-        try:  # normalized_figure runs the inequality check first
+        try:  # normalized_figure checks every window before building
             return SBResult("yes", figure=normalized_figure(pt))
         except NotInSB as e:
             return SBResult("no", violated=e.witness)
@@ -489,26 +492,21 @@ def normalized_figure(pt: SchottkyPoint,
     In the chart where generator i fixes (0, infinity) the window is
     (|beta_i| * max |other fixed points|, min |other fixed points|);
     the default radius is the exact log-midpoint (geometric mean).
-    Requires a non-archimedean place, except for g = 1 where the
-    concentric construction works everywhere.
+    Raises NotInSB at the first empty window.  Requires a
+    non-archimedean place, except for g = 1 where the concentric
+    construction works everywhere.
     """
     if pt.place.is_archimedean and pt.g > 1:
         raise ValueError("normalized figures need a non-archimedean place")
-    if pt.place.is_nonarchimedean:
-        witness = _sb_violation(pt)
-        if witness is not None:
-            raise NotInSB(witness)
     pts = pt.fixed_points()
-    gens, plus, minus, chosen = [], [], [], []
+    pinned = []  # every window is checked before any disc is built
     for i, t in enumerate(pt.triples, start=1):
-        phi = _pin_chart(t)
-        absb = abs_value(pt.place, t.beta)
-        images = [abs_value(pt.place, phi.apply(p).value())
+        phi, absb = _pin_chart(t), abs_value(pt.place, t.beta)
+        others = [((j, s), abs_value(pt.place, phi.apply(p).value()))
                   for j, s, p in pts if j != i]
-        lo = absb * max(images) if images else absb
-        hi = min(images) if images else ONE_ABS
-        if not lo < hi:
-            raise NotInSB((i, "window", lo, hi))
+        pinned.append((t, phi, absb, sb_window(i, absb, others)))
+    gens, plus, minus, chosen = [], [], [], []
+    for i, (t, phi, absb, (lo, hi)) in enumerate(pinned, start=1):
         if radii is None:
             r = (lo * hi).sqrt()
         else:

@@ -9,9 +9,9 @@ disc geometry runs in machine floats with a declared tolerance band
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exactnum import GaussianRational, as_gaussian
 from .places import (
@@ -19,7 +19,6 @@ from .places import (
     ApproxReal,
     ExactValue,
     Place,
-    ZERO_ABS,
     abs_value,
 )
 
@@ -286,10 +285,6 @@ def _eigen_point(m: Moebius, lam: GaussianRational) -> ProjPoint:
     return ProjPoint(lam - m.d, m.c)
 
 
-def _modular_inverse(x: int, mod: int) -> int:
-    return pow(x, -1, mod)
-
-
 def matrix_to_koebe(place: Place, m: Moebius, prec: int = 64) -> KoebeTriple:
     """Fixed points and multiplier of a loxodromic transformation.
 
@@ -334,13 +329,13 @@ def _padic_koebe(place: Place, m: Moebius, tr, det, prec: int) -> KoebeTriple:
     c = det.re / (tr.re * tr.re)
     p = place.p
     mod = p**prec
-    c_int = c.numerator * _modular_inverse(c.denominator % mod, mod) % mod
+    c_int = c.numerator * pow(c.denominator, -1, mod) % mod
     y = 0
     for _ in range(prec.bit_length() + 3):
         f = (y * y - y + c_int) % mod
         if f == 0:
             break
-        y = (y - f * _modular_inverse((2 * y - 1) % mod, mod)) % mod
+        y = (y - f * pow(2 * y - 1, -1, mod)) % mod
     y_rat = GaussianRational(Fraction(y))
     small = tr * y_rat
     big = tr * (GaussianRational(1) - y_rat)
@@ -402,7 +397,6 @@ class Disc:
     center: GaussianRational
     radius: AbsValue
     chart: str = "std"
-    closed: bool = True
 
     def __post_init__(self):
         if self.chart not in ("std", "inv"):
@@ -439,10 +433,10 @@ def _image_nonarch(place: Place, g: Moebius, disc: Disc) -> Disc:
     absdet = abs_value(place, g.det())
     ad, ac = abs_value(place, d2), abs_value(place, c)
     if ad > r * ac:
-        return Disc(b2 / d2, absdet * r / (ad * ad), "std", disc.closed)
+        return Disc(b2 / d2, absdet * r / (ad * ad), "std")
     ab, aa = abs_value(place, b2), abs_value(place, a)
     if ab > r * aa:
-        return Disc(d2 / b2, absdet * r / (ab * ab), "inv", disc.closed)
+        return Disc(d2 / b2, absdet * r / (ab * ab), "inv")
     raise PoleInsideDisc("image is not a disc in either chart")
 
 
@@ -457,13 +451,13 @@ def _image_arch(g: Moebius, disc: Disc) -> Disc:
     if denom > ARCH_TOL * scale:
         center = (zb * zd.conjugate() - za * zc.conjugate() * r * r) / denom
         return Disc(GaussianRational.from_complex(center),
-                    ApproxReal(absdet * r / denom), "std", disc.closed)
+                    ApproxReal(absdet * r / denom), "std")
     denom = abs(zb) ** 2 - abs(za) ** 2 * r * r
     scale = abs(zb) ** 2 + abs(za) ** 2 * r * r + 1e-300
     if denom > ARCH_TOL * scale:
         center = (zd * zb.conjugate() - zc * za.conjugate() * r * r) / denom
         return Disc(GaussianRational.from_complex(center),
-                    ApproxReal(absdet * r / denom), "inv", disc.closed)
+                    ApproxReal(absdet * r / denom), "inv")
     raise PoleInsideDisc("image is not a disc in either chart")
 
 

@@ -235,11 +235,6 @@ def apply_word(word: NielsenWord, pt: SchottkyPoint,
     return pt
 
 
-def evaluate(pt: SchottkyPoint, w: ReducedWord) -> Moebius:
-    """The matrix of an abstract free-group word in the marked group."""
-    return evaluate_word(pt, w)
-
-
 def stabilizer_search(pt: SchottkyPoint, bound: int) -> list[NielsenWord]:
     """All words of length <= bound that fix the point exactly.
 

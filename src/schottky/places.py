@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exactnum import (
-    GaussianRational,
     Rat,
     as_gaussian,
     factorize,
@@ -247,9 +246,6 @@ class ExactValue(AbsValue):
         """The value p^exponent."""
         e = exponent if type(exponent) is Fraction else Fraction(exponent)
         return ExactValue._make({p: e} if e else {})
-
-    def is_one(self) -> bool:
-        return not self.factors
 
     def cmp(self, other: AbsValue) -> int:
         if isinstance(other, ExactZero):

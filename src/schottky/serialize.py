@@ -21,7 +21,7 @@ from .places import (
     ExactZero,
     Place,
 )
-from .moebius import Disc, KoebeTriple, Moebius, ProjPoint
+from .moebius import Disc, KoebeTriple, ProjPoint
 from .figures import SchottkyPoint
 
 
@@ -148,29 +148,19 @@ def absvalue_from_json(obj, where: str = "value") -> AbsValue:
     raise MalformedInput(f"{where}: unknown value kind {kind!r}")
 
 
-# -- Moebius maps and discs ---------------------------------------------------
-
-
-def moebius_to_json(m: Moebius) -> dict:
-    return {"a": gq_to_json(m.a), "b": gq_to_json(m.b),
-            "c": gq_to_json(m.c), "d": gq_to_json(m.d)}
-
-
-def moebius_from_json(obj, where: str = "moebius") -> Moebius:
-    return Moebius(*(gq_from_json(_get(obj, k, where), f"{where}.{k}")
-                     for k in "abcd"))
+# -- discs --------------------------------------------------------------------
 
 
 def disc_to_json(place: Optional[Place], d: Disc) -> dict:
     return {"chart": d.chart, "center": gq_to_json(d.center),
             "radius": absvalue_to_json(d.radius, place),
-            "closed": d.closed}
+            "closed": True}  # Disc has no open form: all are closed
 
 
 def disc_from_json(obj, where: str = "disc") -> Disc:
     return Disc(gq_from_json(_get(obj, "center", where), where + ".center"),
                 absvalue_from_json(_get(obj, "radius", where), where + ".radius"),
-                obj.get("chart", "std"), obj.get("closed", True))
+                obj.get("chart", "std"))
 
 
 # -- Schottky points ----------------------------------------------------------

@@ -161,6 +161,16 @@ def test_hybrid_malformed(capsys):
     assert code == EXIT_MALFORMED  # missing the free fixed point
 
 
+@pytest.mark.parametrize("grid", ["0", "1,0", "-1", "2"])
+def test_hybrid_eps_grid_outside_unit_interval(capsys, grid):
+    # 0 and 1,0 used to end in a ZeroDivisionError traceback, -1 and 2
+    # in a PlaceError traceback.
+    payload = json.dumps({"r": ["1/2", "1/3"], "fixed": ["-2"]})
+    code, rep = run(capsys, "hybrid", "--json", payload, "--eps-grid", grid)
+    assert code == EXIT_MALFORMED
+    assert "--eps-grid" in rep["error"]
+
+
 def test_flag_validation(capsys):
     code, rep = run(capsys, "verify", "--json", DUMBBELL, "--budget", "0")
     assert code == EXIT_MALFORMED

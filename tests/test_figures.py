@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dumbbell_point, moved_off_infinity, seeded
+from conftest import dumbbell_point, moved_off_infinity, random_point, seeded
 from schottky import (
     Place,
     ReducedWord,
@@ -33,6 +33,7 @@ from schottky.moebius import (
     INVERSION,
     KoebeTriple,
     ProjPoint,
+    cross_ratio,
     disc_shape,
     image_of_disc,
 )
@@ -175,15 +176,49 @@ def test_is_in_SB_no_with_witness():
         normalized_figure(pt)
 
 
+def _sb_oracle(pt):
+    """The paper's definition, literally: the first violated inequality
+    |beta_i| |[x_j, x_k; alpha_i, alpha_i']| < 1 over every generator i
+    and every ordered pair (j, k) of other fixed points, or None."""
+    pts = pt.fixed_points()
+    for i, t in enumerate(pt.triples, start=1):
+        absb = abs_value(pt.place, t.beta)
+        others = [(j, s, x) for j, s, x in pts if j != i]
+        for j, sj, xj in others:
+            for k, sk, xk in others:
+                cr = cross_ratio(xj, xk, t.alpha, t.alpha_prime)
+                val = absb * abs_value(pt.place, cr)
+                if not val < ONE_ABS:
+                    return (i, (j, sj), (k, sk), val)
+    return None
+
+
 def test_is_in_SB_checks_inequalities_once(monkeypatch, dumbbell):
     calls = []
-    real = figures._sb_violation
-    monkeypatch.setattr(figures, "_sb_violation",
-                        lambda pt: calls.append(pt) or real(pt))
+    real = figures.sb_window
+    monkeypatch.setattr(figures, "sb_window",
+                        lambda i, *a: calls.append(i) or real(i, *a))
     rejected = schottky_point(P2, [Fraction(2), Fraction(2)], [Fraction(2)])
-    assert is_in_SB(rejected).violated == real(rejected)
+    assert is_in_SB(rejected).violated == _sb_oracle(rejected)
+    assert calls == [1]  # generator 1's window is empty: stop there
     assert is_in_SB(dumbbell).status == "yes"
-    assert len(calls) == 2
+    assert calls == [1, 1, 2]  # one window per generator, no second pass
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_is_in_SB_matches_the_cross_ratio_oracle(g, p):
+    rng = seeded(1000 * g + p)
+    place = Place.padic(p)
+    statuses = []  # seeded: the draws, and so the run time, are fixed
+    while len(statuses) < 12 or len(set(statuses)) < 2:
+        pt = random_point(rng, place, g, val_range=(1, 4))
+        if pt is None:
+            continue
+        res, witness = is_in_SB(pt), _sb_oracle(pt)
+        assert res.status == ("yes" if witness is None else "no")
+        assert res.violated == witness  # value included
+        statuses.append(res.status)
 
 
 def test_is_schottky_dumbbell(dumbbell):
