@@ -5,6 +5,12 @@ All reports are single JSON documents on stdout with sorted keys, so a
 fixed invocation always produces identical bytes.  Exit codes: 0 yes,
 1 malformed input, 2 no, 3 unknown, 4 budget exceeded, 5 operation not
 available at an archimedean place.
+
+Every subcommand reads its input from exactly one of ``--input`` and
+``--json`` and takes only the options its handler reads, each checked
+where it is declared.  A usage error is malformed input (exit 1 with a
+JSON error), and ``main`` is the one place that maps refusals to exit
+codes.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from .figures import (
     sb_window,
     schottky_point,
 )
+from .skeleton import (ArchimedeanUnsupported, build_tree, glue_skeleton,
+                       translation_length)
+from .outer import NielsenWord, apply_word
 from . import serialize as ser
 from .serialize import MalformedInput, dumps
 
@@ -42,28 +51,26 @@ EXIT_UNKNOWN = 3
 EXIT_BUDGET = 4
 EXIT_UNSUPPORTED = 5
 
+# Exit code of each answer a handler reports, and of each refusal.
+_ANSWERS = {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
+_REFUSALS = {MalformedInput: EXIT_MALFORMED, BudgetExceeded: EXIT_BUDGET,
+             ArchimedeanUnsupported: EXIT_UNSUPPORTED}
+
 
 def _emit(obj) -> None:
     sys.stdout.write(dumps(obj) + "\n")
 
 
-def _fail(message: str) -> int:
-    _emit({"error": message})
-    return EXIT_MALFORMED
-
-
 def _load_json(args):
-    if args.json is not None:
+    if args.input is None:
         text, origin = args.json, "--json"
-    elif args.input is not None:
+    else:
         try:
             with open(args.input) as f:
                 text = f.read()
         except OSError as e:
             raise MalformedInput(f"cannot read {args.input}: {e}")
         origin = args.input
-    else:
-        raise MalformedInput("one of --input or --json is required")
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -100,23 +107,19 @@ def cmd_verify(args) -> int:
     sb = is_in_SB(pt)
     report = {"command": "verify", "point": ser.point_to_json(pt),
               "is_in_SB": sb.status}
-    if sb.status == "yes":
-        report["certificate"] = _figure_json(sb.figure)
-        _emit(report)
-        return EXIT_YES
-    if sb.status == "no":
+    status, figure = sb.status, sb.figure
+    if status == "no":
         report["violated"] = _violation_json(sb.violated)
-        _emit(report)
-        return EXIT_NO
-    member = is_schottky(pt, nielsen_depth=args.nielsen_depth)
-    report["is_schottky"] = member.status
-    if member.status == "yes":
-        report["basis_change"] = str(member.tau)
-        report["certificate"] = _figure_json(member.figure)
-        _emit(report)
-        return EXIT_YES
+    elif status == "unknown":
+        member = is_schottky(pt, nielsen_depth=args.nielsen_depth)
+        status = report["is_schottky"] = member.status
+        figure = member.figure
+        if status == "yes":
+            report["basis_change"] = str(member.tau)
+    if status == "yes":
+        report["certificate"] = _figure_json(figure)
     _emit(report)
-    return EXIT_UNKNOWN
+    return _ANSWERS[status]
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +162,16 @@ def cmd_limitset(args) -> int:
     sb = is_in_SB(pt)
     if sb.status != "yes":
         _emit({"command": "limitset", "is_in_SB": sb.status})
-        return EXIT_NO if sb.status == "no" else EXIT_UNKNOWN
-    try:
-        samp = limit_sample(sb.figure, args.depth, budget=args.budget)
-    except BudgetExceeded as e:
-        _emit({"error": str(e)})
-        return EXIT_BUDGET
+        return _ANSWERS[sb.status]
+    samp = limit_sample(sb.figure, args.depth, budget=args.budget)
     if pt.place.is_archimedean:
         svg = _svg_limit_set(samp)
         if args.out:
-            with open(args.out, "w") as f:
-                f.write(svg)
+            try:
+                with open(args.out, "w") as f:
+                    f.write(svg)
+            except OSError as e:
+                raise MalformedInput(f"cannot write {args.out}: {e}")
             _emit({"command": "limitset", "depth": args.depth,
                    "count": len(samp.discs), "svg": args.out})
         else:
@@ -194,24 +196,17 @@ def cmd_limitset(args) -> int:
 
 
 def cmd_skeleton(args) -> int:
-    from .skeleton import (ArchimedeanUnsupported, build_tree, glue_skeleton,
-                           translation_length)
-
     pt = _load_point(args)
-    try:
-        sb = is_in_SB(pt)
-        if sb.status != "yes":
-            _emit({"command": "skeleton", "is_in_SB": sb.status})
-            return EXIT_NO if sb.status == "no" else EXIT_UNKNOWN
-        graph = glue_skeleton(build_tree(sb.figure))
-        lengths = [
-            {"word": list(w.letters),
-             "len": ser.metric_length_to_json(translation_length(pt, w))}
-            for w in conjugacy_classes_upto(pt.g, args.depth)
-        ]
-    except ArchimedeanUnsupported as e:
-        _emit({"error": str(e)})
-        return EXIT_UNSUPPORTED
+    sb = is_in_SB(pt)
+    if sb.status != "yes":
+        _emit({"command": "skeleton", "is_in_SB": sb.status})
+        return _ANSWERS[sb.status]
+    graph = glue_skeleton(build_tree(sb.figure))
+    lengths = [
+        {"word": list(w.letters),
+         "len": ser.metric_length_to_json(translation_length(pt, w))}
+        for w in conjugacy_classes_upto(pt.g, args.depth)
+    ]
     _emit({"command": "skeleton",
            "graph": ser.metric_graph_to_json(graph),
            "translation_lengths": lengths})
@@ -224,15 +219,8 @@ def cmd_skeleton(args) -> int:
 
 
 def cmd_act(args) -> int:
-    from .outer import BadNielsenLetter, NielsenWord, apply_word
-
-    pt = _load_point(args)
-    try:
-        word = NielsenWord.parse(args.word or "")
-    except BadNielsenLetter as e:
-        raise MalformedInput(str(e))
-    moved = apply_word(word, pt, prec=args.prec)
-    _emit({"command": "act", "word": str(word),
+    moved = apply_word(args.word, _load_point(args), prec=args.prec)
+    _emit({"command": "act", "word": str(args.word),
            "point": ser.point_to_json(moved)})
     return EXIT_YES
 
@@ -269,16 +257,13 @@ def cmd_hybrid(args) -> int:
     if g == 0 or any(not 0 < r < 1 for r in rs):
         raise MalformedInput("r: need radii strictly between 0 and 1")
     fixed = [ser.rat_from_json(x, "fixed") for x in data.get("fixed", [])]
-    if g >= 2 and len(fixed) != 2 * g - 3:
-        raise MalformedInput(f"fixed: expected {2 * g - 3} values for g={g}")
-    grid = [ser.rat_from_json(t, "--eps-grid")
-            for t in args.eps_grid.split(",")]
-    if any(not 0 < eps <= 1 for eps in grid):
-        raise MalformedInput("--eps-grid: every eps must lie in (0, 1]")
+    free = max(2 * g - 3, 0)
+    if len(fixed) != free:
+        raise MalformedInput(f"fixed: expected {free} values for g={g}")
 
     r_json = [ser.rat_to_json(r) for r in rs]
     rows = []
-    for eps in grid:
+    for eps in args.eps_grid:
         betas = [Fraction(float(r) ** (1 / float(eps))) for r in rs]
         try:
             apt = schottky_point(Place.archimedean(eps), betas, fixed)
@@ -304,44 +289,74 @@ def cmd_hybrid(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as malformed input rather than exiting 2."""
+
+    def error(self, message):
+        raise MalformedInput(f"{self.prog}: {message}")
+
+
+def _checked(parse, need: str, ok=lambda value: True):
+    """An argparse type: parse the text and require ``ok`` of the value."""
+    def check(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+    return check
+
+
+def _int_at_least(lo: int):
+    return _checked(int, f"an integer >= {lo}", lambda n: n >= lo)
+
+
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="schottky",
-        description="Exact Schottky groups over archimedean and "
-                    "non-archimedean places")
+    top = _Parser(prog="schottky",
+                  description="Exact Schottky groups over archimedean and "
+                              "non-archimedean places")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", help="path to an input JSON file")
-        p.add_argument("--json", help="inline input JSON")
-        p.add_argument("--depth", type=int, default=3)
-        p.add_argument("--nielsen-depth", dest="nielsen_depth",
-                       type=int, default=2)
-        p.add_argument("--budget", type=int, default=10 ** 6)
-        p.add_argument("--out", help="output path (SVG)")
-        p.add_argument("--eps-grid", dest="eps_grid", default="1,1/2,1/10")
-        p.add_argument("--prec", type=int, default=64)
+    def command(name, func):
+        p = sub.add_parser(name)
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", help="path to an input JSON file")
+        source.add_argument("--json", help="inline input JSON")
+        p.set_defaults(func=func)
         return p
 
-    common(sub.add_parser("verify")).set_defaults(func=cmd_verify)
-    common(sub.add_parser("limitset")).set_defaults(func=cmd_limitset)
-    common(sub.add_parser("skeleton")).set_defaults(func=cmd_skeleton)
-    act = common(sub.add_parser("act"))
-    act.add_argument("--word", default="", help="comma-separated letters, "
-                     "e.g. s3,s2 (trailing ' for inverses)")
-    act.set_defaults(func=cmd_act)
-    common(sub.add_parser("hybrid")).set_defaults(func=cmd_hybrid)
+    command("verify", cmd_verify).add_argument(
+        "--nielsen-depth", type=_int_at_least(0), default=2)
+    limitset = command("limitset", cmd_limitset)
+    limitset.add_argument("--depth", type=_int_at_least(1), default=3)
+    limitset.add_argument("--budget", type=_int_at_least(1), default=10 ** 6)
+    limitset.add_argument("--out", help="output path (SVG)")
+    command("skeleton", cmd_skeleton).add_argument(
+        "--depth", type=_int_at_least(0), default=3)
+    act = command("act", cmd_act)
+    act.add_argument("--word", default="",
+                     type=_checked(NielsenWord.parse, "letters s1..s4"),
+                     help="comma-separated letters, e.g. s3,s2 "
+                          "(trailing ' for inverses)")
+    act.add_argument("--prec", type=_int_at_least(1), default=64)
+    command("hybrid", cmd_hybrid).add_argument(
+        "--eps-grid", default="1,1/2,1/10", type=_checked(
+            lambda text: [ser.rat_from_json(t) for t in text.split(",")],
+            "comma-separated eps in (0, 1]",
+            lambda grid: all(0 < eps <= 1 for eps in grid)))
     return top
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    if args.depth < 0 or args.budget < 1 or args.prec < 1:
-        return _fail("depth must be >= 0, budget and prec >= 1")
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
-    except MalformedInput as e:
-        return _fail(str(e))
+    except tuple(_REFUSALS) as e:
+        _emit({"error": str(e)})
+        return next(code for cls, code in _REFUSALS.items()
+                    if isinstance(e, cls))
 
 
 if __name__ == "__main__":  # pragma: no cover

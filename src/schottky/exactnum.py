@@ -8,7 +8,7 @@ no rounding.  These are the scalars that all exact computations downstream
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Optional, Union
 
 Rat = Union[int, Fraction]

@@ -11,17 +11,17 @@ one-sided search over twisted Ford discs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exactnum import GaussianRational, Rat, as_gaussian
 from .moebius import (
     Disc,
+    IDENTITY,
     INF,
     KoebeTriple,
     Moebius,
-    NotLoxodromic,
     ProjPoint,
     disc_shape,
     disc_subset,
@@ -327,7 +327,7 @@ class SchottkyFigure:
         return out
 
 
-def _same_shilov(place: Place, d1: Disc, d2: Disc, tol: float = 1e-9) -> bool:
+def _same_shilov(place: Place, d1: Disc, d2: Disc) -> bool:
     """Same boundary (Shilov) data: same shape kind, radius, center class."""
     s1, s2 = disc_shape(place, d1), disc_shape(place, d2)
     if s1[0] != s2[0]:
@@ -337,9 +337,8 @@ def _same_shilov(place: Place, d1: Disc, d2: Disc, tol: float = 1e-9) -> bool:
     dist = abs_value(place, a - b)
     if place.is_nonarchimedean:
         return ra == rb and dist <= ra
-    scale = ra.to_float() + rb.to_float()
-    return (abs(ra.to_float() - rb.to_float()) <= tol * scale
-            and dist.to_float() <= tol * scale)
+    tol = 1e-9 * (ra.to_float() + rb.to_float())  # relative to the radii
+    return abs(ra.to_float() - rb.to_float()) <= tol and dist.to_float() <= tol
 
 
 def _complement_as_open_disc(place: Place, d: Disc) -> tuple[Moebius, Disc]:
@@ -355,7 +354,6 @@ def _complement_as_open_disc(place: Place, d: Disc) -> tuple[Moebius, Disc]:
             inv_r = ApproxReal(1.0 / r.to_float())
         return chart_inv, Disc(GaussianRational(0), inv_r)
     _, m, s = shape
-    from .moebius import IDENTITY
     return IDENTITY, Disc(m, s)
 
 
@@ -417,9 +415,8 @@ def ford_figure_from_triples(place: Place, triples: Sequence[KoebeTriple],
 
 
 def ford_figure(pt: SchottkyPoint, lambdas: Sequence[Rat]) -> SchottkyFigure:
-    fig = ford_figure_from_triples(pt.place, pt.triples, lambdas)
-    return SchottkyFigure(fig.place, fig.generators, fig.plus_discs,
-                          fig.minus_discs, fig.witness, pt)
+    return replace(ford_figure_from_triples(pt.place, pt.triples, lambdas),
+                   point=pt)
 
 
 # -- good-basis inequalities --------------------------------------------------
@@ -530,11 +527,7 @@ def normalized_figure(pt: SchottkyPoint,
 
 # -- archimedean search -------------------------------------------------------
 
-LAMBDA_GRID = [Fraction(4) ** t for t in range(-8, 9)]
-
-
-def _arch_ford_search(pt: SchottkyPoint, sweeps: int = 3
-                      ) -> Optional[SchottkyFigure]:
+def _arch_ford_search(pt: SchottkyPoint) -> Optional[SchottkyFigure]:
     """Coordinate-descent search for disjoint Ford discs, up to conjugation."""
     fixed = [p for _, _, p in pt.fixed_points()]
     for m in (2, 3, -1, 5, -2, 7, -5, 11):
@@ -574,7 +567,7 @@ def _arch_ford_search(pt: SchottkyPoint, sweeps: int = 3
             return best
 
         ts = [0] * pt.g
-        for _ in range(sweeps):
+        for _ in range(3):  # coordinate-descent sweeps
             for i in range(pt.g):
                 scores = [(margin(ts[:i] + [t] + ts[i + 1:]), t)
                           for t in range(-8, 9)]
@@ -586,8 +579,7 @@ def _arch_ford_search(pt: SchottkyPoint, sweeps: int = 3
             fig = ford_figure_from_triples(pt.place, triples, lambdas)
         except (DiscsNotDisjoint, FigureInvariantError, GeneratorFixesInfinity):
             continue
-        return SchottkyFigure(fig.place, fig.generators, fig.plus_discs,
-                              fig.minus_discs, fig.witness, pt)
+        return replace(fig, point=pt)
     return None
 
 
@@ -622,7 +614,7 @@ def is_schottky(pt: SchottkyPoint, nielsen_depth: int = 2) -> SchottkyResult:
         for s in letters:
             try:
                 nxt = outer.nielsen_apply(s, cur)
-            except (NotLoxodromic, ValueError):
+            except ValueError:
                 continue
             if not nxt.approximate:
                 key = nxt.canonical_key()
@@ -711,7 +703,6 @@ def limit_sample(fig: SchottkyFigure, depth: int,
             if level < depth:
                 rec(prefix * fig.gen(letter), word + (letter,), d)
 
-    from .moebius import IDENTITY
     rec(IDENTITY, (), None)
 
     # Radius decay is fitted in spherical size, which is chart-independent:
@@ -754,7 +745,6 @@ def evaluate_word(fig_or_pt, w: ReducedWord) -> Moebius:
         gens = fig_or_pt.generators
     else:
         gens = fig_or_pt.generators()
-    from .moebius import IDENTITY
     m = IDENTITY
     for letter in w:
         gi = gens[abs(letter) - 1]

@@ -14,12 +14,15 @@ return an approximately-known point (flagged as such).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .exactnum import GaussianRational
 from .moebius import (
     DegenerateConfiguration,
     KoebeTriple,
     Moebius,
+    ProjPoint,
     matrix_to_koebe,
     moebius_to_zero_inf_one,
 )
@@ -180,9 +183,6 @@ def _normalize_triples(place: Place,
 
 
 def _some_other_point(taken):
-    from .moebius import ProjPoint
-    from .exactnum import GaussianRational
-    from fractions import Fraction
     k = 0
     while True:
         cand = ProjPoint.finite(GaussianRational(Fraction(k)))
@@ -253,7 +253,7 @@ def stabilizer_search(pt: SchottkyPoint, bound: int) -> list[NielsenWord]:
         for s in letters:
             try:
                 nxt = nielsen_apply(s, cur)
-            except (DegenerateConfiguration, ValueError):
+            except ValueError:
                 continue
             frontier.append((NielsenWord(word.letters + (s,)), nxt))
     return found

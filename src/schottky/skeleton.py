@@ -10,13 +10,14 @@ curve.  Everything here is exact -- floats appear only in to_float().
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exactnum import GaussianRational
-from .moebius import Disc, Moebius, NotLoxodromic, disc_shape
+from .moebius import Disc, NotLoxodromic, disc_shape
 from .places import AbsValue, ExactValue, Place, abs_value
 from .figures import (
     ReducedWord,
@@ -24,6 +25,8 @@ from .figures import (
     SchottkyPoint,
     conjugacy_classes_upto,
     evaluate_word,
+    is_schottky,
+    normalized_figure,
 )
 
 
@@ -118,16 +121,6 @@ def shilov_join(place: Place, d1: Disc, d2: Disc) -> Disc:
     return Disc(d1.center, r)
 
 
-def _boundary_point(place: Place, d: Disc) -> tuple[GaussianRational, AbsValue]:
-    """(center, radius) of the disc whose boundary is the disc's Shilov point.
-
-    A codisc (the complement of D^-(m, s)) has the same boundary point
-    eta_{m,s} as the disc D+(m, s), so no chart change is ever needed.
-    """
-    _kind, c, r = disc_shape(place, d)
-    return c, r
-
-
 def _radius_exponent(place: Place, r: AbsValue) -> Fraction:
     if not isinstance(r, ExactValue):
         raise ArchimedeanUnsupported("exact radii required")
@@ -208,7 +201,9 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
 
     leaf_data = []
     for i, eps, d in fig.all_discs():
-        c, r = _boundary_point(place, d)
+        # A codisc (the complement of D^-(m, s)) has the same boundary
+        # point eta_{m,s} as the disc D+(m, s): no chart change is needed.
+        _kind, c, r = disc_shape(place, d)
         leaf_data.append((c, r))
         insert(c, r, (i, eps))
     for idx, (c1, r1) in enumerate(leaf_data):
@@ -278,8 +273,6 @@ class MetricGraph:
         lexicographic minimum over all vertex relabellings of the sorted
         edge multisets, per generator cycle and for the whole graph.
         """
-        import itertools
-
         verts = sorted({w for u, v, _ in self.edges.values()
                         for w in (u, v)} | set(self.vertices))
 
@@ -405,8 +398,6 @@ def cv_datum(pt: SchottkyPoint, max_len: int):
     one cyclically-reduced lexicographic-minimal representative per
     conjugacy class of length <= max_len.
     """
-    from .figures import is_schottky, normalized_figure
-
     res = is_schottky(pt)
     if res.status != "yes":
         raise ValueError(f"point is not certified Schottky: {res.status}")

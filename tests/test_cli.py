@@ -1,8 +1,13 @@
+import argparse
 import json
-from fractions import Fraction
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import schottky
 from schottky.cli import (
     EXIT_BUDGET,
     EXIT_MALFORMED,
@@ -10,6 +15,7 @@ from schottky.cli import (
     EXIT_UNKNOWN,
     EXIT_UNSUPPORTED,
     EXIT_YES,
+    _parser,
     main,
 )
 
@@ -114,6 +120,13 @@ def test_limitset_svg(tmp_path, capsys):
     assert svg.startswith("<svg") and svg.count("<circle") == 16
 
 
+def test_limitset_svg_unwritable(tmp_path, capsys):
+    # Used to end in a FileNotFoundError traceback.
+    out = tmp_path / "missing" / "l.svg"
+    code, rep = run(capsys, "limitset", "--json", ARCH_G2, "--out", str(out))
+    assert code == EXIT_MALFORMED and "cannot write" in rep["error"]
+
+
 def test_skeleton_dumbbell(capsys):
     code, rep = run(capsys, "skeleton", "--json", DUMBBELL, "--depth", "2")
     assert code == EXIT_YES
@@ -171,8 +184,104 @@ def test_hybrid_eps_grid_outside_unit_interval(capsys, grid):
     assert "--eps-grid" in rep["error"]
 
 
+def test_hybrid_rank1_takes_no_fixed_points(capsys):
+    # Used to exit 0 with an "error: rank 1 has no free fixed points" row.
+    payload = json.dumps({"r": ["1/2"], "fixed": ["3"]})
+    code, rep = run(capsys, "hybrid", "--json", payload, "--eps-grid", "1")
+    assert code == EXIT_MALFORMED
+    assert set(rep) == {"error"} and "fixed" in rep["error"]
+
+
 def test_flag_validation(capsys):
     code, rep = run(capsys, "verify", "--json", DUMBBELL, "--budget", "0")
+    assert code == EXIT_MALFORMED  # verify has no --budget
+    code, rep = run(capsys, "limitset", "--json", DUMBBELL, "--budget", "0")
     assert code == EXIT_MALFORMED
     code, rep = run(capsys, "verify")
     assert code == EXIT_MALFORMED  # neither --input nor --json
+
+
+# The options each subcommand reads, besides --input/--json, with a value
+# each would accept.
+READS = {
+    "verify": {"--nielsen-depth": "2"},
+    "limitset": {"--depth": "3", "--budget": "100", "--out": "l.svg"},
+    "skeleton": {"--depth": "3"},
+    "act": {"--word": "s2", "--prec": "64"},
+    "hybrid": {"--eps-grid": "1"},
+}
+ALL_OPTIONS = {opt: value for opts in READS.values()
+               for opt, value in opts.items()}
+HYBRID_G2 = json.dumps({"r": ["1/2", "1/3"], "fixed": ["-2"]})
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: {s for a in p._actions for s in a.option_strings}
+               - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert options == {cmd: {"--input", "--json"} | set(opts)
+                       for cmd, opts in READS.items()}
+    assert sum(len(opts) for opts in options.values()) == 18
+
+
+@pytest.mark.parametrize("cmd,opt", [
+    (cmd, opt) for cmd in READS for opt in ALL_OPTIONS
+    if opt not in READS[cmd]])
+def test_option_a_subcommand_does_not_read_is_refused(capsys, cmd, opt):
+    doc = HYBRID_G2 if cmd == "hybrid" else DUMBBELL
+    code = main([cmd, "--json", doc, opt, ALL_OPTIONS[opt]])
+    out, err = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert set(json.loads(out)) == {"error"} and opt in json.loads(out)["error"]
+    assert err == ""
+
+
+USAGE_ERRORS = {
+    "unknown-flag": ["verify", "--json", DUMBBELL, "--bogus", "1"],
+    "no-subcommand": [],
+    "unknown-subcommand": ["bogus", "--json", DUMBBELL],
+    "json-and-input": ["verify", "--json", DUMBBELL, "--input", "p.json"],
+    "limitset-depth-0": ["limitset", "--json", DUMBBELL, "--depth", "0"],
+    "limitset-budget-0": ["limitset", "--json", DUMBBELL, "--budget", "0"],
+    "limitset-depth-x": ["limitset", "--json", DUMBBELL, "--depth", "x"],
+    "skeleton-depth-neg": ["skeleton", "--json", DUMBBELL, "--depth", "-1"],
+    "nielsen-depth-neg": ["verify", "--json", DUMBBELL,
+                          "--nielsen-depth", "-1"],
+    "act-prec-0": ["act", "--json", DUMBBELL, "--prec", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_1_with_one_json_error(capsys, case):
+    # argparse on its own exits 2, the code for "no"; limitset --depth 0
+    # used to end in a ValueError traceback.
+    code = main(USAGE_ERRORS[case])
+    out, err = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert set(json.loads(out)) == {"error"}
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["skeleton", "--depth", "0"],
+    ["limitset", "--depth", "1", "--budget", "4"],
+    ["verify", "--nielsen-depth", "0"],
+    ["act", "--prec", "1"],
+], ids=" ".join)
+def test_lowest_accepted_values(capsys, argv):
+    code, rep = run(capsys, *argv, "--json", DUMBBELL)
+    assert code == EXIT_YES
+    if argv[0] == "skeleton":
+        assert rep["translation_lengths"] == []
+
+
+def test_usage_error_in_a_subprocess():
+    src = str(Path(schottky.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "schottky.cli", "limitset", "--json", DUMBBELL,
+         "--depth", "0"], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_MALFORMED
+    assert "--depth" in json.loads(proc.stdout)["error"]
+    assert proc.stderr == ""  # no Traceback, no argparse usage text
