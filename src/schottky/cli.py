@@ -27,7 +27,7 @@ from .places import (
     gauss_seminorm,
     hybrid_section_eval,
 )
-from .moebius import disc_shape
+from .moebius import MultiplierUnderflow, disc_shape
 from .figures import (
     BudgetExceeded,
     NotInSB,
@@ -54,7 +54,8 @@ EXIT_UNSUPPORTED = 5
 # Exit code of each answer a handler reports, and of each refusal.
 _ANSWERS = {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
 _REFUSALS = {MalformedInput: EXIT_MALFORMED, BudgetExceeded: EXIT_BUDGET,
-             ArchimedeanUnsupported: EXIT_UNSUPPORTED}
+             ArchimedeanUnsupported: EXIT_UNSUPPORTED,
+             MultiplierUnderflow: EXIT_UNSUPPORTED}
 
 
 def _emit(obj) -> None:

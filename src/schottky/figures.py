@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactnum import GaussianRational, Rat, as_gaussian
+from .exactnum import ZERO, GaussianRational, Rat, as_gaussian
 from .moebius import (
     Disc,
     IDENTITY,
@@ -528,52 +528,76 @@ def normalized_figure(pt: SchottkyPoint,
 # -- archimedean search -------------------------------------------------------
 
 def _arch_ford_search(pt: SchottkyPoint) -> Optional[SchottkyFigure]:
-    """Coordinate-descent search for disjoint Ford discs, up to conjugation."""
+    """Coordinate-descent search for disjoint Ford discs, up to conjugation.
+
+    h(z) = 1/(z - m) sends each fixed point alpha to a = 1/(alpha - m)
+    (infinity to 0), and the Koebe matrix of (a, a', beta) has c = 1 - beta,
+    pole -d/c = (a' - beta a)/c, a/c = (a - beta a')/c, det beta (a - a')^2:
+    the exact rationals `koebe_to_matrix` gives, read off in closed form.
+    c does not depend on m, so a degenerate c ends the search at once.
+
+    Ford disc i gets lambda_i = 4^t_i, t_i in [-8, 8]; the margin is the
+    least d - r - r' over disc pairs.  Sweeping coordinate i, the pairs
+    apart from generator i's two discs are scored once, and each t rescores
+    only the 4g - 3 pairs touching them (ties go to the larger t).  A sweep
+    is a function of the exponents alone, so the sweeps (at most three)
+    stop at the first one that changes nothing.
+
+    The float search only proposes lambdas: for a positive margin the exact
+    conjugated triples go through `ford_figure_from_triples`, whose
+    `validate_figure` decides whether the figure is a "yes".
+    """
+    one = GaussianRational(1)
+    cs = [one - t.beta for t in pt.triples]
+    if any(c.is_zero() or abs(c.to_complex()) < 1e-12 for c in cs):
+        return None
+    inv_c, abs_c = [one / c for c in cs], [abs(c.to_complex()) for c in cs]
     fixed = [p for _, _, p in pt.fixed_points()]
+    pairs = [(j, k) for j in range(2 * pt.g) for k in range(j + 1, 2 * pt.g)]
+    touching = [[q for q in pairs if i in (q[0] // 2, q[1] // 2)]
+                for i in range(pt.g)]
+    apart = [[q for q in pairs if q not in near] for near in touching]
     for m in (2, 3, -1, 5, -2, 7, -5, 11):
-        h = Moebius(GaussianRational(0), GaussianRational(1),
-                    GaussianRational(1), GaussianRational(-m))
         mc = complex(m)
         if any((not p.is_infinity) and abs(p.value().to_complex() - mc) < 1e-6
                for p in fixed):
             continue
-        triples = [KoebeTriple(h.apply(t.alpha), h.apply(t.alpha_prime),
-                               t.beta, t.approximate) for t in pt.triples]
-        centers_plus, centers_minus, base_rho = [], [], []
-        degenerate = False
-        for t in triples:
-            mat = koebe_to_matrix(t)
-            if mat.c.is_zero() or abs(mat.c.to_complex()) < 1e-12:
-                degenerate = True
-                break
-            zc = mat.c.to_complex()
-            centers_plus.append((-mat.d / mat.c).to_complex())
-            centers_minus.append((mat.a / mat.c).to_complex())
-            base_rho.append(abs((mat.a * mat.d - mat.b * mat.c).to_complex())
-                            ** 0.5 / abs(zc))
-        if degenerate:
-            continue
+        conj = [[ZERO if p.is_infinity else one / (p.value() - m)
+                 for p in (t.alpha, t.alpha_prime)] for t in pt.triples]
+        centres, rho = [], []
+        for (a, ap), t, ic, ac in zip(conj, pt.triples, inv_c, abs_c):
+            b = t.beta
+            centres += [((ap - b * a) * ic).to_complex(),
+                        ((a - b * ap) * ic).to_complex()]
+            rho.append(abs((b * (a - ap) * (a - ap)).to_complex()) ** 0.5 / ac)
+        dist = [[abs(x - y) for y in centres] for x in centres]
+        r = [x for q in rho for x in (q, q)]  # every t_i = 0
 
-        def margin(ts: list[int]) -> float:
-            items = []
-            for i, t_exp in enumerate(ts):
-                s = 2.0 ** t_exp  # sqrt(lambda) for lambda = 4^t
-                items.append((centers_plus[i], base_rho[i] * s))
-                items.append((centers_minus[i], base_rho[i] / s))
-            best = float("inf")
-            for n, (c1, r1) in enumerate(items):
-                for c2, r2 in items[n + 1:]:
-                    best = min(best, abs(c1 - c2) - r1 - r2)
-            return best
+        def place_discs(i: int, t_exp: int) -> None:
+            s = 2.0 ** t_exp  # sqrt(lambda) for lambda = 4^t
+            r[2 * i], r[2 * i + 1] = rho[i] * s, rho[i] / s
+
+        def margin(among, best=float("inf")) -> float:
+            return min([best] + [dist[j][k] - r[j] - r[k] for j, k in among])
 
         ts = [0] * pt.g
         for _ in range(3):  # coordinate-descent sweeps
+            before = list(ts)
             for i in range(pt.g):
-                scores = [(margin(ts[:i] + [t] + ts[i + 1:]), t)
-                          for t in range(-8, 9)]
+                rest = margin(apart[i])
+                scores = []
+                for t in range(-8, 9):
+                    place_discs(i, t)
+                    scores.append((margin(touching[i], rest), t))
                 ts[i] = max(scores)[1]
-        if margin(ts) <= 0:
+                place_discs(i, ts[i])
+            if ts == before:
+                break
+        if margin(pairs) <= 0:
             continue
+        triples = [KoebeTriple(ProjPoint.finite(a), ProjPoint.finite(ap),
+                               t.beta, t.approximate)
+                   for (a, ap), t in zip(conj, pt.triples)]
         lambdas = [Fraction(4) ** t for t in ts]
         try:
             fig = ford_figure_from_triples(pt.place, triples, lambdas)

@@ -37,6 +37,10 @@ class DegenerateConfiguration(ValueError):
     """Cross-ratio of a degenerate 4-tuple of points."""
 
 
+class MultiplierUnderflow(ValueError):
+    """A float-lifted multiplier rounds to zero: no triple can hold it."""
+
+
 # ---------------------------------------------------------------------------
 # Projective points
 # ---------------------------------------------------------------------------
@@ -351,6 +355,8 @@ def _arch_koebe(m: Moebius) -> KoebeTriple:
     lam1, lam2 = (tr + s) / 2, (tr - s) / 2
     if abs(lam1) > abs(lam2):
         lam1, lam2 = lam2, lam1
+    if lam1 == 0:
+        raise MultiplierUnderflow("the multiplier underflows machine floats")
     small = GaussianRational.from_complex(lam1)
     big = GaussianRational.from_complex(lam2)
     return KoebeTriple(

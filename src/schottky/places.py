@@ -317,8 +317,16 @@ class ExactValue(AbsValue):
     def sqrt(self) -> "ExactValue":
         return self ** _HALF
 
+    def __hash__(self):
+        try:  # == reaches across ApproxReal, which hashes as its float
+            return hash(self.to_float())
+        except OverflowError:  # past the floats: no ApproxReal is equal
+            return hash(frozenset(self.factors.items()))
+
     def to_float(self) -> float:
-        return math.exp(sum(float(e) * math.log(b) for b, e in self.factors.items()))
+        # fsum rounds once, so equal values (any factor order) hash equal.
+        return math.exp(math.fsum(float(e) * math.log(b)
+                                  for b, e in self.factors.items()))
 
     def log_exponent(self, p: int, eps: Fraction) -> Fraction:
         """Write the value as p^(-q*eps) and return q.

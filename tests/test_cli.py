@@ -285,3 +285,18 @@ def test_usage_error_in_a_subprocess():
     assert proc.returncode == EXIT_MALFORMED
     assert "--depth" in json.loads(proc.stdout)["error"]
     assert proc.stderr == ""  # no Traceback, no argparse usage text
+
+
+def test_act_underflowing_multiplier_exits_5_in_a_subprocess():
+    # Eight s4 moves shrink the float-lifted multiplier below the smallest
+    # double; six still answer.
+    src = str(Path(schottky.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "schottky.cli", "act", "--json", ARCH_G2,
+         "--word", ",".join(["s4"] * 8)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_UNSUPPORTED
+    assert set(json.loads(proc.stdout)) == {"error"}
+    assert "underflows" in json.loads(proc.stdout)["error"]
+    assert "Traceback" not in proc.stderr

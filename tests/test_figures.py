@@ -1,9 +1,17 @@
+from dataclasses import replace
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dumbbell_point, moved_off_infinity, random_point, seeded
+from conftest import (
+    _FIXED_POOL as FIXED_POOL,
+    dumbbell_point,
+    moved_off_infinity,
+    random_point,
+    seeded,
+)
 from schottky import (
     Place,
     ReducedWord,
@@ -19,9 +27,12 @@ from schottky.exactnum import GaussianRational
 from schottky.figures import (
     BudgetExceeded,
     DiscsNotDisjoint,
+    FigureInvariantError,
     GeneratorFixesInfinity,
     NotInSB,
     RadiiOutOfWindow,
+    SchottkyFigure,
+    SchottkyPoint,
     conjugacy_classes_upto,
     ford_figure_from_triples,
     fundamental_domain_report,
@@ -32,11 +43,14 @@ from schottky.moebius import (
     Disc,
     INVERSION,
     KoebeTriple,
+    Moebius,
     ProjPoint,
     cross_ratio,
     disc_shape,
     image_of_disc,
+    koebe_to_matrix,
 )
+from schottky.outer import nielsen_apply, nielsen_letters
 from schottky.places import ExactValue, ONE_ABS, abs_value
 
 P2 = Place.padic(2)
@@ -219,6 +233,131 @@ def test_is_in_SB_matches_the_cross_ratio_oracle(g, p):
         assert res.status == ("yes" if witness is None else "no")
         assert res.violated == witness  # value included
         statuses.append(res.status)
+
+
+# -- archimedean Ford search ---------------------------------------------------
+
+
+# The reference search: conjugate each triple, build its Koebe matrix, and
+# rescore every disc pair for every exponent.  `_arch_ford_search` must
+# return exactly the figure this returns, or None when it does.
+def _ford_search_oracle(pt: SchottkyPoint) -> Optional[SchottkyFigure]:
+    """Coordinate-descent search for disjoint Ford discs, up to conjugation."""
+    fixed = [p for _, _, p in pt.fixed_points()]
+    for m in (2, 3, -1, 5, -2, 7, -5, 11):
+        h = Moebius(GaussianRational(0), GaussianRational(1),
+                    GaussianRational(1), GaussianRational(-m))
+        mc = complex(m)
+        if any((not p.is_infinity) and abs(p.value().to_complex() - mc) < 1e-6
+               for p in fixed):
+            continue
+        triples = [KoebeTriple(h.apply(t.alpha), h.apply(t.alpha_prime),
+                               t.beta, t.approximate) for t in pt.triples]
+        centers_plus, centers_minus, base_rho = [], [], []
+        degenerate = False
+        for t in triples:
+            mat = koebe_to_matrix(t)
+            if mat.c.is_zero() or abs(mat.c.to_complex()) < 1e-12:
+                degenerate = True
+                break
+            zc = mat.c.to_complex()
+            centers_plus.append((-mat.d / mat.c).to_complex())
+            centers_minus.append((mat.a / mat.c).to_complex())
+            base_rho.append(abs((mat.a * mat.d - mat.b * mat.c).to_complex())
+                            ** 0.5 / abs(zc))
+        if degenerate:
+            continue
+
+        def margin(ts: list[int]) -> float:
+            items = []
+            for i, t_exp in enumerate(ts):
+                s = 2.0 ** t_exp  # sqrt(lambda) for lambda = 4^t
+                items.append((centers_plus[i], base_rho[i] * s))
+                items.append((centers_minus[i], base_rho[i] / s))
+            best = float("inf")
+            for n, (c1, r1) in enumerate(items):
+                for c2, r2 in items[n + 1:]:
+                    best = min(best, abs(c1 - c2) - r1 - r2)
+            return best
+
+        ts = [0] * pt.g
+        for _ in range(3):  # coordinate-descent sweeps
+            for i in range(pt.g):
+                scores = [(margin(ts[:i] + [t] + ts[i + 1:]), t)
+                          for t in range(-8, 9)]
+                ts[i] = max(scores)[1]
+        if margin(ts) <= 0:
+            continue
+        lambdas = [Fraction(4) ** t for t in ts]
+        try:
+            fig = ford_figure_from_triples(pt.place, triples, lambdas)
+        except (DiscsNotDisjoint, FigureInvariantError, GeneratorFixesInfinity):
+            continue
+        return replace(fig, point=pt)
+    return None
+
+
+def _arch_point(rng, g, gaussian, kmin, kmax):
+    """Multipliers 1/k, kmin <= k <= kmax; real or Gaussian fixed points."""
+    fixed = []
+    while len(fixed) < 2 * g - 3:
+        if gaussian:
+            x = GaussianRational(Fraction(rng.randint(-8, 8), rng.choice((1, 2, 3))),
+                                 Fraction(rng.choice((-1, 1)) * rng.randint(1, 8),
+                                          rng.choice((1, 2, 3))))
+        else:
+            x = GaussianRational(rng.choice(FIXED_POOL))
+        if x not in fixed:
+            fixed.append(x)
+    betas = [Fraction(1, rng.randint(kmin, kmax)) for _ in range(g)]
+    return schottky_point(Place.archimedean(), betas, fixed)
+
+
+def _figure_data(fig):
+    if fig is None:
+        return None
+    return fig.witness, [(i, e, d.center, d.chart, d.radius.to_float())
+                         for i, e, d in fig.all_discs()]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("kmin, kmax", [(100, 400), (4, 5)], ids=["sparse", "crowded"])
+def test_ford_search_matches_the_oracle(g, gaussian, kmin, kmax):
+    rng = seeded(10 * g + 5 * gaussian + kmin)
+    found = 0
+    for _ in range(3):
+        pt = _arch_point(rng, g, gaussian, kmin, kmax)
+        points = [pt]
+        for s in nielsen_letters(g):
+            try:
+                moved = nielsen_apply(s, pt)
+            except ValueError:
+                continue
+            if not moved.approximate:
+                points.append(moved)
+        for q in points:
+            got = _figure_data(figures._arch_ford_search(q))
+            assert got == _figure_data(_ford_search_oracle(q))
+            found += got is not None
+    if kmin == 100:
+        assert found  # sparse points do get certified
+
+
+@pytest.mark.parametrize("betas, fixed, witness", [
+    (["1/378", "1/254"], ["5/2"], "ford(1,64)"),
+    (["1/171", "1/180"], ["3/4"], "ford(64,1)"),
+    (["1/377", "1/262", "1/372"], ["3/4", "4/3", "2"], "ford(256,1,256)"),
+])
+def test_ford_search_scores_the_pairs_apart_from_the_moving_discs(
+        betas, fixed, witness):
+    # Here the least gap is between two discs that the moving exponent
+    # does not touch, so every score depends on the pairs apart from it.
+    pt = schottky_point(Place.archimedean(), [Fraction(b) for b in betas],
+                        [Fraction(x) for x in fixed])
+    got = figures._arch_ford_search(pt)
+    assert got.witness == witness
+    assert _figure_data(got) == _figure_data(_ford_search_oracle(pt))
 
 
 def test_is_schottky_dumbbell(dumbbell):

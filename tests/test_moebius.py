@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from schottky.exactnum import GaussianRational, padic_valuation
 from schottky.places import ApproxReal, ExactValue, Place, abs_value
@@ -257,3 +257,20 @@ def test_same_as_matches_canonical_forms(m, n, s, how):
         assert moebius(m.a, 0, 0, m.d).is_identity() == (m.a == m.d)
     if how == "multiple" and not s.is_zero():
         assert want and moebius(s, 0, 0, s).is_identity()
+
+
+# -- the Koebe matrix in closed form ------------------------------------------
+
+
+@given(gaussian, gaussian, gaussian)
+@settings(max_examples=80, deadline=None)
+def test_koebe_matrix_closed_form_for_finite_fixed_points(a, ap, beta):
+    # The Ford search reads the disc centres and radii of a generator with
+    # finite fixed points off these closed forms instead of the matrix.
+    assume(a != ap and not beta.is_zero() and beta != 1)
+    m = koebe_to_matrix(KoebeTriple(ProjPoint.finite(a), ProjPoint.finite(ap), beta))
+    c = 1 - beta
+    assert m.c == c
+    assert -m.d / m.c == (ap - beta * a) / c
+    assert m.a / m.c == (a - beta * ap) / c
+    assert m.det() == m.a * m.d - m.b * m.c == beta * (a - ap) * (a - ap)

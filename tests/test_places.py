@@ -85,6 +85,23 @@ def test_exact_value_algebra():
         ExactValue.from_rational(Fraction(-1))
 
 
+def test_exact_value_hash_agrees_with_eq_and_never_overflows():
+    quarter = ExactValue.from_rational(Fraction(1, 4))
+    assert quarter == ApproxReal(0.25)
+    assert hash(quarter) == hash(ApproxReal(0.25)) == hash(ExactValue.p_power(2, -2))
+    # Equal factors listed in another order: the float must not change.
+    fac = {2: Fraction(25), 17: Fraction(26, 3), 19: Fraction(-7)}
+    reordered = ExactValue(dict(reversed(fac.items())))
+    assert ExactValue(fac) == reordered
+    assert hash(ExactValue(fac)) == hash(reordered)
+    huge = ExactValue.from_rational(Fraction(2) ** 5000)
+    assert huge == ExactValue.p_power(2, 5000)
+    assert hash(huge) == hash(ExactValue.p_power(2, 5000))
+    mixed = ExactValue.from_rational(Fraction(6) ** 5000)
+    assert hash(mixed) == hash(ExactValue({3: 5000, 2: 5000}))
+    assert len({huge, mixed, ExactValue.p_power(2, 5000)}) == 2
+
+
 def test_log_exponent():
     v = ExactValue.p_power(2, Fraction(-3))
     assert v.log_exponent(2, Fraction(1)) == 3
