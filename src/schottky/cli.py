@@ -77,6 +77,8 @@ def _load_json(args):
     except json.JSONDecodeError as e:
         raise MalformedInput(f"{origin}: invalid JSON at line {e.lineno} "
                              f"column {e.colno}: {e.msg}")
+    except ValueError as e:  # e.g. an integer literal past the digit limit
+        raise MalformedInput(f"{origin}: {e}")
 
 
 def _load_point(args):

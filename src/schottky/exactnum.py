@@ -7,6 +7,7 @@ no rounding.  These are the scalars that all exact computations downstream
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Union
@@ -219,8 +220,15 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 
+MAX_DIGITS = 1000
+_RATIONAL = re.compile(f"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
+
+
 def parse_fraction(s: str) -> Fraction:
-    """Parse 'num/den' or a plain integer string."""
+    """Parse '[+-]digits[/digits]' with at most MAX_DIGITS digits a side;
+    any other form (an exponent costs unbounded time) is a ValueError."""
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"not [+-]digits[/digits] within {MAX_DIGITS} digits")
     return Fraction(s)
 
 

@@ -11,6 +11,7 @@ one-sided search over twisted Ford discs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -26,6 +27,7 @@ from .moebius import (
     disc_shape,
     disc_subset,
     discs_disjoint,
+    discs_equal,
     image_of_disc,
     koebe_to_matrix,
 )
@@ -327,20 +329,6 @@ class SchottkyFigure:
         return out
 
 
-def _same_shilov(place: Place, d1: Disc, d2: Disc) -> bool:
-    """Same boundary (Shilov) data: same shape kind, radius, center class."""
-    s1, s2 = disc_shape(place, d1), disc_shape(place, d2)
-    if s1[0] != s2[0]:
-        return False
-    _, a, ra = s1
-    _, b, rb = s2
-    dist = abs_value(place, a - b)
-    if place.is_nonarchimedean:
-        return ra == rb and dist <= ra
-    tol = 1e-9 * (ra.to_float() + rb.to_float())  # relative to the radii
-    return abs(ra.to_float() - rb.to_float()) <= tol and dist.to_float() <= tol
-
-
 def _complement_as_open_disc(place: Place, d: Disc) -> tuple[Moebius, Disc]:
     """P^1 minus the closed disc d, as chart^-1(std disc): boundary only."""
     shape = disc_shape(place, d)
@@ -361,7 +349,7 @@ def _check_mapping(place: Place, gamma: Moebius, source: Disc, target: Disc):
     """gamma(P^1 - source) must be the open disc with target's boundary."""
     chart, open_disc = _complement_as_open_disc(place, source)
     image = image_of_disc(place, gamma * chart, open_disc)
-    if not _same_shilov(place, image, target):
+    if not discs_equal(place, image, target):
         raise FigureInvariantError(
             "image of the complement does not match the partner disc")
 
@@ -665,12 +653,14 @@ def word_disc(fig: SchottkyFigure, w: ReducedWord) -> Disc:
 
 
 def spherical_radius(place: Place, d: Disc) -> AbsValue:
-    """Chart-independent disc size: radius / max(1, |center|)^2.
+    """Chart-independent disc size, computed in the disc's own chart.
 
-    Computed in the disc's own chart; inversion is an isometry of the
-    spherical metric, so this is well defined and lets discs containing
-    infinity shrink like any others.  Exact at non-archimedean places.
-    """
+    Non-archimedean: radius / max(1, |center|)^2, exact.  Archimedean: the
+    geodesic radius atan(|c| + r) - atan(|c| - r) of the spherical cap, which
+    shrinks under inclusion.  z -> 1/z is an isometry of the sphere."""
+    if place.is_archimedean:
+        c, r = abs(d.center.to_complex()), d.radius.to_float()
+        return ApproxReal(math.atan(c + r) - math.atan(c - r))
     ac = abs_value(place, d.center)
     denom = ac if ac > ONE_ABS else ONE_ABS
     return d.radius / (denom * denom)
@@ -731,13 +721,11 @@ def limit_sample(fig: SchottkyFigure, depth: int,
 
     # Radius decay is fitted in spherical size, which is chart-independent:
     # there may be no rational chart in which every disc avoids infinity.
-    def size(d: Disc) -> AbsValue:
-        return spherical_radius(fig.place, d)
-
-    radius_R = max(size(d) for _, d in levels[1])
+    by_word = {w.letters: spherical_radius(fig.place, d) for w, d in levels[1]}
+    radius_R = max(by_word.values())
     if depth >= 2 and levels.get(2):
-        by_word = {w.letters: size(d) for w, d in levels[1]}
-        decay_c = max(size(d) / by_word[w.letters[:1]] for w, d in levels[2])
+        decay_c = max(spherical_radius(fig.place, d) / by_word[w.letters[:1]]
+                      for w, d in levels[2])
     else:
         decay_c = abs_value(fig.place, fig.point.triples[0].beta) \
             if fig.point is not None else ApproxReal(0.5)

@@ -3,7 +3,9 @@
 Matrices act on the projective line over the Gaussian rationals.  At a
 non-archimedean place everything here is exact; at an archimedean place
 disc geometry runs in machine floats with a declared tolerance band
-(comparisons inside the band answer None, "can't certify").
+(comparisons inside the band answer None, "can't certify").  Every disc
+comparison goes through the kernels ``ball_inside`` and ``balls_apart``, over
+closed balls B[a, r] = {|z - a| <= r} and open ones B(a, r) = {|z - a| < r}.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .exactnum import GaussianRational, as_gaussian
 from .places import (
     AbsValue,
     ApproxReal,
-    ExactValue,
     Place,
     abs_value,
 )
@@ -317,12 +318,9 @@ def matrix_to_koebe(place: Place, m: Moebius, prec: int = 64) -> KoebeTriple:
         return KoebeTriple(
             _eigen_point(m, big), _eigen_point(m, small), small / big, False
         )
-    if place.kind == "padic":
-        return _padic_koebe(place, m, tr, det, prec)
     if place.is_archimedean:
         return _arch_koebe(m)
-    raise NotLoxodromic(
-        "multiplier is degenerate at trivially-valued places")
+    return _padic_koebe(place, m, tr, det, prec)
 
 
 def _padic_koebe(place: Place, m: Moebius, tr, det, prec: int) -> KoebeTriple:
@@ -473,9 +471,8 @@ def _image_arch(g: Moebius, disc: Disc) -> Disc:
 def disc_shape(place: Place, disc: Disc):
     """Canonical description of the disc as a subset of P^1.
 
-    Returns ("std", center, radius) for an ordinary disc, or
-    ("codisc", m, s) for the complement of the open disc D^-(m, s)
-    (a closed set containing infinity).
+    Returns ("std", center, radius) for an ordinary disc, or ("codisc", m, s)
+    for P^1 - B(m, s), a closed set containing infinity.
     """
     if disc.chart == "std":
         return ("std", disc.center, disc.radius)
@@ -484,8 +481,7 @@ def disc_shape(place: Place, disc: Disc):
         ac = abs_value(place, c)
         if ac > r:
             return ("std", GaussianRational(1) / c, r / (ac * ac))
-        return ("codisc", GaussianRational(0), r ** -1
-                if isinstance(r, ExactValue) else ApproxReal(1 / r.to_float()))
+        return ("codisc", GaussianRational(0), r ** -1)
     zc = c.to_complex()
     rf = r.to_float()
     ac = abs(zc)
@@ -500,33 +496,36 @@ def disc_shape(place: Place, disc: Disc):
     raise PoleInsideDisc("disc boundary passes through the chart origin")
 
 
-def _dist(place: Place, x: GaussianRational, y: GaussianRational) -> AbsValue:
-    return abs_value(place, x - y)
+def ball_inside(place: Place, a: GaussianRational, ra: AbsValue, b: GaussianRational,
+                rb: AbsValue, a_open=False, b_open=False) -> Optional[bool]:
+    """Whether the ball around a of radius ra lies in the one around b.
 
-
-def discs_disjoint(place: Place, d1: Disc, d2: Disc) -> Optional[bool]:
-    """True / False / None (None: archimedean borderline, can't certify)."""
-    s1, s2 = disc_shape(place, d1), disc_shape(place, d2)
-    if s1[0] == "codisc" and s2[0] == "codisc":
-        return False  # both contain infinity
-    if s1[0] == "codisc":
-        s1, s2 = s2, s1
-    if s2[0] == "std":
-        _, a, ra = s1
-        _, b, rb = s2
-        dist = _dist(place, a, b)
-        if place.is_nonarchimedean:
-            return dist > ra and dist > rb
-        return _arch_sign(dist.to_float() - ra.to_float() - rb.to_float(),
-                          dist.to_float() + ra.to_float() + rb.to_float())
-    # std disc vs complement of open D^-(m, s): disjoint iff inside D^-.
-    _, a, ra = s1
-    _, mctr, s = s2
-    dist = _dist(place, a, mctr)
+    Ultrametric: in a closed B[b, rb] iff dist <= rb and ra <= rb; a
+    closed ball in an open B(b, rb) iff dist < rb and ra < rb, an open
+    one iff dist < rb and ra <= rb.  Archimedean: sign of rb - dist - ra.
+    """
+    dist = abs_value(place, a - b)
     if place.is_nonarchimedean:
-        return dist < s and ra < s
-    return _arch_sign(s.to_float() - dist.to_float() - ra.to_float(),
-                      s.to_float() + dist.to_float() + ra.to_float())
+        if not b_open:
+            return dist <= rb and ra <= rb
+        return dist < rb and (ra <= rb if a_open else ra < rb)
+    return _arch_sign(rb.to_float() - dist.to_float() - ra.to_float(),
+                      rb.to_float() + dist.to_float() + ra.to_float())
+
+
+def balls_apart(place: Place, a: GaussianRational, ra: AbsValue, b: GaussianRational,
+                rb: AbsValue, b_open=False) -> Optional[bool]:
+    """Whether the closed ball B[a, ra] misses the ball around b.
+
+    Ultrametric: it misses a closed B[b, rb] iff dist > ra and dist > rb,
+    an open B(b, rb) iff dist > ra and dist >= rb.  Archimedean: sign of
+    dist - ra - rb.
+    """
+    dist = abs_value(place, a - b)
+    if place.is_nonarchimedean:
+        return dist > ra and (dist >= rb if b_open else dist > rb)
+    return _arch_sign(dist.to_float() - ra.to_float() - rb.to_float(),
+                      dist.to_float() + ra.to_float() + rb.to_float())
 
 
 def _arch_sign(gap: float, scale: float) -> Optional[bool]:
@@ -537,49 +536,37 @@ def _arch_sign(gap: float, scale: float) -> Optional[bool]:
     return None
 
 
+def discs_disjoint(place: Place, d1: Disc, d2: Disc) -> Optional[bool]:
+    """True / False / None (None: archimedean borderline, can't certify)."""
+    (k1, a, ra), (k2, b, rb) = disc_shape(place, d1), disc_shape(place, d2)
+    if k1 == "std" and k2 == "std":
+        return balls_apart(place, a, ra, b, rb)
+    if k1 == "std":  # a std disc misses P^1 - B(b, rb) iff it lies in B(b, rb)
+        return ball_inside(place, a, ra, b, rb, b_open=True)
+    if k2 == "std":
+        return ball_inside(place, b, rb, a, ra, b_open=True)
+    return False  # both contain infinity
+
+
 def disc_subset(place: Place, d1: Disc, d2: Disc) -> Optional[bool]:
     """Whether d1 is contained in d2 (True / False / None)."""
-    s1, s2 = disc_shape(place, d1), disc_shape(place, d2)
-    k1, k2 = s1[0], s2[0]
-    if k1 == "codisc" and k2 == "std":
-        return False
-    if k1 == "std" and k2 == "std":
-        _, a, ra = s1
-        _, b, rb = s2
-        dist = _dist(place, a, b)
-        if place.is_nonarchimedean:
-            return ra <= rb and dist <= rb
-        return _arch_sign(rb.to_float() - dist.to_float() - ra.to_float(),
-                          rb.to_float() + dist.to_float() + ra.to_float())
-    if k1 == "std":  # std inside complement of open D^-(m, s)
-        _, a, ra = s1
-        _, mctr, s = s2
-        dist = _dist(place, a, mctr)
-        if place.is_nonarchimedean:
-            return dist >= s and dist > ra
-        return _arch_sign(dist.to_float() - ra.to_float() - s.to_float(),
-                          dist.to_float() + ra.to_float() + s.to_float())
-    # codisc inside codisc: the removed open discs nest the other way.
-    _, m1, sa = s1
-    _, m2, sb = s2
-    dist = _dist(place, m1, m2)
-    if place.is_nonarchimedean:
-        return dist < sa and sb <= sa
-    return _arch_sign(sa.to_float() - dist.to_float() - sb.to_float(),
-                      sa.to_float() + dist.to_float() + sb.to_float())
+    (k1, a, ra), (k2, b, rb) = disc_shape(place, d1), disc_shape(place, d2)
+    if k2 == "std":  # a codisc holds infinity, so it lies in no std disc
+        return k1 == "std" and ball_inside(place, a, ra, b, rb)
+    if k1 == "std":  # std inside the complement of the open B(b, rb)
+        return balls_apart(place, a, ra, b, rb, b_open=True)
+    # codisc inside codisc: the removed open balls nest the other way.
+    return ball_inside(place, b, rb, a, ra, a_open=True, b_open=True)
 
 
 def discs_equal(place: Place, d1: Disc, d2: Disc) -> Optional[bool]:
-    """Whether the two discs are the same subset of P^1."""
-    s1, s2 = disc_shape(place, d1), disc_shape(place, d2)
-    if s1[0] != s2[0]:
+    """Same shape kind and boundary point: equal radii and each centre in
+    the other's closed ball (archimedean: within 1e-9 of the radii sum)."""
+    (k1, a, ra), (k2, b, rb) = disc_shape(place, d1), disc_shape(place, d2)
+    if k1 != k2:
         return False
-    _, a, ra = s1
-    _, b, rb = s2
-    dist = _dist(place, a, b)
     if place.is_nonarchimedean:
-        return ra == rb and dist <= ra
-    scale = ra.to_float() + rb.to_float() + dist.to_float()
-    close = (abs(ra.to_float() - rb.to_float()) <= ARCH_TOL * scale
-             and dist.to_float() <= ARCH_TOL * scale)
-    return True if close else False
+        return ra == rb and ball_inside(place, a, ra, b, rb)
+    tol = 1e-9 * (ra.to_float() + rb.to_float())  # relative to the radii
+    return (abs(ra.to_float() - rb.to_float()) <= tol
+            and abs_value(place, a - b).to_float() <= tol)

@@ -2,8 +2,7 @@
 
 A Place is an absolute value on Q (possibly raised to a power eps):
 archimedean |.|^eps with 0 < eps <= 1, p-adic |.|_p^eps with eps > 0,
-the trivial absolute value on Q, or the trivial absolute value on the
-residue field F_p.
+or the trivial absolute value on Q.
 
 Absolute values of nonzero elements at non-archimedean places are
 represented *exactly* as products of prime powers with rational
@@ -34,10 +33,6 @@ class ImaginaryAtNonArch(PlaceError):
     """A non-real Gaussian rational was fed to a non-archimedean place."""
 
 
-class BadResidue(PlaceError):
-    """Element has no reduction mod p (denominator divisible by p)."""
-
-
 class ZeroPolynomial(ValueError):
     """Seminorm of the zero polynomial requested."""
 
@@ -46,7 +41,7 @@ class ZeroPolynomial(ValueError):
 class Place:
     """A point of the analytic spectrum of Z, as a tagged union.
 
-    kind is one of "archimedean", "padic", "trivial_q", "trivial_fp".
+    kind is one of "archimedean", "padic", "trivial_q".
     """
 
     kind: str
@@ -65,17 +60,15 @@ class Place:
         eps = Fraction(eps)
         if eps <= 0:
             raise PlaceError("p-adic exponent must be positive")
-        _check_prime(p)
+        if p >= _MR_LIMIT:
+            raise PlaceError(f"prime must be below {_MR_LIMIT}")
+        if p < 2 or not _is_prime(p):
+            raise PlaceError(f"{p} is not prime")
         return Place("padic", p, eps)
 
     @staticmethod
     def trivial_q() -> "Place":
         return Place("trivial_q")
-
-    @staticmethod
-    def trivial_fp(p: int) -> "Place":
-        _check_prime(p)
-        return Place("trivial_fp", p)
 
     @property
     def is_archimedean(self) -> bool:
@@ -90,13 +83,6 @@ class Place:
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
-
-
-def _check_prime(p: int) -> None:
-    if p >= _MR_LIMIT:
-        raise PlaceError(f"prime must be below {_MR_LIMIT}")
-    if p < 2 or not _is_prime(p):
-        raise PlaceError(f"{p} is not prime")
 
 
 def _is_prime(n: int) -> bool:
@@ -251,8 +237,7 @@ class ExactValue(AbsValue):
         if isinstance(other, ExactZero):
             return 1
         if isinstance(other, ApproxReal):
-            a, b = self.to_float(), other.value
-            return (a > b) - (a < b)
+            return self._cmp_float(other.value)
         if not isinstance(other, ExactValue):
             return NotImplemented
         one = self._one_prime(other)
@@ -323,10 +308,25 @@ class ExactValue(AbsValue):
         except OverflowError:  # past the floats: no ApproxReal is equal
             return hash(frozenset(self.factors.items()))
 
-    def to_float(self) -> float:
+    def _log(self) -> float:
         # fsum rounds once, so equal values (any factor order) hash equal.
-        return math.exp(math.fsum(float(e) * math.log(b)
-                                  for b, e in self.factors.items()))
+        return math.fsum(float(e) * math.log(b) for b, e in self.factors.items())
+
+    def to_float(self) -> float:
+        return math.exp(self._log())
+
+    def _cmp_float(self, x: float) -> int:
+        """Order against x >= 0: as floats where to_float() is finite and
+        nonzero (so == agrees with hash), else by logarithms."""
+        log = self._log()
+        try:
+            a = math.exp(log)
+        except OverflowError:
+            a = math.inf
+        if 0 < a < math.inf:
+            return (a > x) - (a < x)
+        log_x = math.log(x) if x > 0 else -math.inf
+        return (log > log_x) - (log < log_x)
 
     def log_exponent(self, p: int, eps: Fraction) -> Fraction:
         """Write the value as p^(-q*eps) and return q.
@@ -367,8 +367,9 @@ class ApproxReal(AbsValue):
     def cmp(self, other: AbsValue) -> int:
         if isinstance(other, ExactZero):
             return 1 if self.value > 0 else 0
-        b = other.to_float()
-        return (self.value > b) - (self.value < b)
+        if isinstance(other, ExactValue):
+            return -other._cmp_float(self.value)
+        return (self.value > other.value) - (self.value < other.value)
 
     def __mul__(self, other):
         if isinstance(other, ExactZero):
@@ -422,13 +423,6 @@ def abs_value(place: Place, x) -> AbsValue:
         return ExactValue.p_power(place.p, -v * place.eps)
     if place.kind == "trivial_q":
         return ZERO_ABS if q == 0 else ONE_ABS
-    if place.kind == "trivial_fp":
-        p = place.p
-        if q != 0 and q.denominator % p == 0:
-            raise BadResidue(f"{q} has no reduction mod {p}")
-        if q == 0 or q.numerator % p == 0:
-            return ZERO_ABS
-        return ONE_ABS
     raise PlaceError(f"unknown place kind {place.kind}")
 
 

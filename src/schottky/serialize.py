@@ -80,7 +80,7 @@ def proj_from_json(obj, where: str = "point") -> ProjPoint:
 
 def place_to_json(place: Place) -> dict:
     out = {"kind": "arch" if place.is_archimedean else place.kind}
-    if place.kind in ("padic", "trivial_fp"):
+    if place.kind == "padic":
         out["p"] = place.p
     if place.kind in ("padic", "archimedean"):
         out["eps"] = rat_to_json(place.eps)
@@ -104,8 +104,6 @@ def place_from_json(obj) -> Place:
             return Place.padic(_prime_from_json(obj), eps)
         if kind == "trivial_q":
             return Place.trivial_q()
-        if kind == "trivial_fp":
-            return Place.trivial_fp(_prime_from_json(obj))
     except (ValueError, TypeError) as e:
         raise MalformedInput(f"place: {e}") from e
     raise MalformedInput(f"place: unknown kind {kind!r}")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import GaussianRational
-from .moebius import Disc, NotLoxodromic, disc_shape
+from .moebius import Disc, NotLoxodromic, ball_inside, disc_shape
 from .places import AbsValue, ExactValue, Place, abs_value
 from .figures import (
     ReducedWord,
@@ -116,9 +116,13 @@ def shilov_join(place: Place, d1: Disc, d2: Disc) -> Disc:
     _require_padic(place)
     if d1.chart != "std" or d2.chart != "std":
         raise ChartMismatch("shilov_join expects standard-chart discs")
-    gap = abs_value(place, d1.center - d2.center)
-    r = max(d1.radius, d2.radius, gap)
-    return Disc(d1.center, r)
+    return Disc(d1.center,
+                _join_radius(place, d1.center, d1.radius, d2.center, d2.radius))
+
+
+def _join_radius(place: Place, a: GaussianRational, r: AbsValue,
+                 b: GaussianRational, s: AbsValue) -> AbsValue:
+    return max(r, s, abs_value(place, a - b))
 
 
 def _radius_exponent(place: Place, r: AbsValue) -> Fraction:
@@ -193,7 +197,7 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
 
     def insert(c: GaussianRational, r: AbsValue, label=None):
         for pc, pr, labels in points:
-            if pr == r and not (abs_value(place, pc - c) > r):
+            if pr == r and ball_inside(place, c, r, pc, pr):
                 if label is not None:
                     labels.append(label)
                 return
@@ -201,15 +205,13 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
 
     leaf_data = []
     for i, eps, d in fig.all_discs():
-        # A codisc (the complement of D^-(m, s)) has the same boundary
-        # point eta_{m,s} as the disc D+(m, s): no chart change is needed.
+        # A codisc P^1 - B(m, s) has the same boundary point eta_{m,s}
+        # as the closed ball B[m, s]: no chart change is needed.
         _kind, c, r = disc_shape(place, d)
         leaf_data.append((c, r))
         insert(c, r, (i, eps))
-    for idx, (c1, r1) in enumerate(leaf_data):
-        for c2, r2 in leaf_data[idx + 1:]:
-            gap = abs_value(place, c1 - c2)
-            insert(c1, max(r1, r2, gap))
+    for (c1, r1), (c2, r2) in itertools.combinations(leaf_data, 2):
+        insert(c1, _join_radius(place, c1, r1, c2, r2))
 
     nodes: dict[int, TreeNode] = {}
     order = sorted(range(len(points)),
@@ -223,9 +225,8 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
     for n in nodes.values():
         best = None
         for m in nodes.values():
-            if m.id == n.id or m.radius <= n.radius:
-                continue
-            if not (abs_value(place, n.center - m.center) > m.radius):
+            if m.radius > n.radius and ball_inside(
+                    place, n.center, n.radius, m.center, m.radius):
                 if best is None or m.radius < best.radius:
                     best = m
         if best is not None:

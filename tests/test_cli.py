@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,39 @@ def test_malformed_inputs(capsys):
     assert code == EXIT_MALFORMED and "missing field" in rep["error"]
     code, rep = run(capsys, "verify", "--input", "/no/such/file.json")
     assert code == EXIT_MALFORMED
+
+
+def test_trivial_fp_is_not_a_place_kind(capsys):
+    doc = DUMBBELL.replace('"kind": "padic", "p": 2, "eps": "1"',
+                           '"kind": "trivial_fp", "p": 3')
+    code = main(["verify", "--json", doc])
+    out, err = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert set(json.loads(out)) == {"error"} and err == ""
+
+
+HOSTILE_NUMBERS = {
+    # Fraction's parser spent 12.9 s on this exponent.
+    "huge-exponent": '"1e-10000000"',
+    # Computed an answer, then failed to print a 9544-digit beta.
+    "big-float-beta": '"3e20000"',
+    # json.loads itself refuses integers past 4300 digits.
+    "long-int-literal": "1" + "0" * 4999,
+    "too-many-digits": '"1' + "0" * 1000 + '"',
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_NUMBERS))
+def test_hostile_rationals_exit_1_quickly(capsys, case):
+    doc = DUMBBELL.replace('{"beta": "4"}',
+                           '{"beta": %s}' % HOSTILE_NUMBERS[case])
+    start = time.perf_counter()
+    code = main(["verify", "--json", doc])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert set(json.loads(out)) == {"error"} and err == ""
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("p_text", ["2.5", "1e400", '"2"', "true"])

@@ -398,6 +398,21 @@ def test_spherical_radius_chart_free():
     assert spherical_radius(P2, far) == ExactValue.p_power(2, -7)
 
 
+def test_arch_spherical_radius_shrinks_under_inclusion():
+    # Certified by the Ford search; the size r / max(1, |c|)^2 put the
+    # depth-2 contraction of this figure at 1.077.
+    pt = schottky_point(Place.archimedean(),
+                        [Fraction(1, 354), Fraction(1, 123), Fraction(1, 106)],
+                        [Fraction(-11, 4), Fraction(-9, 4), Fraction(10, 3)])
+    fig = is_in_SB(pt).figure
+    assert fig.witness == "ford(64,1/16,64)"
+    samp = limit_sample(fig, 2)
+    assert samp.decay_c < ONE_ABS
+    first = {w.letters: d for w, d in samp.levels[1]}
+    for w, d in samp.levels[2]:
+        assert samp.size(d) < samp.size(first[w.letters[:1]])
+
+
 def test_fundamental_domain_report(dumbbell):
     rep = fundamental_domain_report(normalized_figure(dumbbell))
     assert rep["genus"] == 2

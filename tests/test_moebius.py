@@ -3,9 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import seeded
+
 from schottky.exactnum import GaussianRational, padic_valuation
 from schottky.places import ApproxReal, ExactValue, Place, abs_value
 from schottky.moebius import (
+    ARCH_TOL,
     Disc,
     DegenerateConfiguration,
     IDENTITY,
@@ -274,3 +277,162 @@ def test_koebe_matrix_closed_form_for_finite_fixed_points(a, ap, beta):
     assert -m.d / m.c == (ap - beta * a) / c
     assert m.a / m.c == (a - beta * ap) / c
     assert m.det() == m.a * m.d - m.b * m.c == beta * (a - ap) * (a - ap)
+
+
+# -- the ball kernels against the per-predicate arms they replaced -------------
+
+
+# The disc predicates as they were before every comparison went through
+# `ball_inside` and `balls_apart`, copied verbatim; `_same_shilov` was the
+# archimedean band of the figure mapping check.
+def _dist(place: Place, x: GaussianRational, y: GaussianRational):
+    return abs_value(place, x - y)
+
+
+def _arch_sign(gap: float, scale: float):
+    if gap > ARCH_TOL * scale:
+        return True
+    if gap < -ARCH_TOL * scale:
+        return False
+    return None
+
+
+def _discs_disjoint_oracle(place: Place, d1: Disc, d2: Disc):
+    """True / False / None (None: archimedean borderline, can't certify)."""
+    s1, s2 = disc_shape(place, d1), disc_shape(place, d2)
+    if s1[0] == "codisc" and s2[0] == "codisc":
+        return False  # both contain infinity
+    if s1[0] == "codisc":
+        s1, s2 = s2, s1
+    if s2[0] == "std":
+        _, a, ra = s1
+        _, b, rb = s2
+        dist = _dist(place, a, b)
+        if place.is_nonarchimedean:
+            return dist > ra and dist > rb
+        return _arch_sign(dist.to_float() - ra.to_float() - rb.to_float(),
+                          dist.to_float() + ra.to_float() + rb.to_float())
+    # std disc vs complement of open D^-(m, s): disjoint iff inside D^-.
+    _, a, ra = s1
+    _, mctr, s = s2
+    dist = _dist(place, a, mctr)
+    if place.is_nonarchimedean:
+        return dist < s and ra < s
+    return _arch_sign(s.to_float() - dist.to_float() - ra.to_float(),
+                      s.to_float() + dist.to_float() + ra.to_float())
+
+
+def _disc_subset_oracle(place: Place, d1: Disc, d2: Disc):
+    """Whether d1 is contained in d2 (True / False / None)."""
+    s1, s2 = disc_shape(place, d1), disc_shape(place, d2)
+    k1, k2 = s1[0], s2[0]
+    if k1 == "codisc" and k2 == "std":
+        return False
+    if k1 == "std" and k2 == "std":
+        _, a, ra = s1
+        _, b, rb = s2
+        dist = _dist(place, a, b)
+        if place.is_nonarchimedean:
+            return ra <= rb and dist <= rb
+        return _arch_sign(rb.to_float() - dist.to_float() - ra.to_float(),
+                          rb.to_float() + dist.to_float() + ra.to_float())
+    if k1 == "std":  # std inside complement of open D^-(m, s)
+        _, a, ra = s1
+        _, mctr, s = s2
+        dist = _dist(place, a, mctr)
+        if place.is_nonarchimedean:
+            return dist >= s and dist > ra
+        return _arch_sign(dist.to_float() - ra.to_float() - s.to_float(),
+                          dist.to_float() + ra.to_float() + s.to_float())
+    # codisc inside codisc: the removed open discs nest the other way.
+    _, m1, sa = s1
+    _, m2, sb = s2
+    dist = _dist(place, m1, m2)
+    if place.is_nonarchimedean:
+        return dist < sa and sb <= sa
+    return _arch_sign(sa.to_float() - dist.to_float() - sb.to_float(),
+                      sa.to_float() + dist.to_float() + sb.to_float())
+
+
+def _discs_equal_oracle(place: Place, d1: Disc, d2: Disc):
+    """Whether the two discs are the same subset of P^1."""
+    s1, s2 = disc_shape(place, d1), disc_shape(place, d2)
+    if s1[0] != s2[0]:
+        return False
+    _, a, ra = s1
+    _, b, rb = s2
+    dist = _dist(place, a, b)
+    if place.is_nonarchimedean:
+        return ra == rb and dist <= ra
+    scale = ra.to_float() + rb.to_float() + dist.to_float()
+    close = (abs(ra.to_float() - rb.to_float()) <= ARCH_TOL * scale
+             and dist.to_float() <= ARCH_TOL * scale)
+    return True if close else False
+
+
+def _same_shilov_oracle(place: Place, d1: Disc, d2: Disc) -> bool:
+    """Same boundary (Shilov) data: same shape kind, radius, center class."""
+    s1, s2 = disc_shape(place, d1), disc_shape(place, d2)
+    if s1[0] != s2[0]:
+        return False
+    _, a, ra = s1
+    _, b, rb = s2
+    dist = abs_value(place, a - b)
+    if place.is_nonarchimedean:
+        return ra == rb and dist <= ra
+    tol = 1e-9 * (ra.to_float() + rb.to_float())  # relative to the radii
+    return abs(ra.to_float() - rb.to_float()) <= tol and dist.to_float() <= tol
+
+
+def _random_disc(rng, place: Place) -> Disc:
+    """A disc from a small grid, so equal radii and touching boundaries
+    (exact tangency at the archimedean place) come up often."""
+    chart = rng.choice(["std", "inv"])
+    if place.is_archimedean:
+        re = Fraction(rng.randint(-8, 8), rng.choice([1, 2, 4]))
+        im = Fraction(rng.randint(-4, 4), 2) if rng.random() < 0.5 else 0
+        radius = rng.choice([0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+        return Disc(GaussianRational(re, im), ApproxReal(radius), chart)
+    p = place.p
+    center = Fraction(rng.randint(-p ** 3, p ** 3), rng.choice([1, p, p * p, 7]))
+    return Disc(GaussianRational(center),
+                ExactValue.p_power(p, rng.randint(-3, 3)), chart)
+
+
+def _near_copy(rng, d: Disc) -> Disc:
+    """d with its centre and radius moved across the equality bands."""
+    shift = rng.choice([0, 1, -1]) * Fraction(1, rng.choice([10 ** 8, 10 ** 11]))
+    scale = 1 + rng.choice([0.0, 1e-13, -1e-11, 5e-10, 3e-9])
+    return Disc(d.center + GaussianRational(shift),
+                ApproxReal(d.radius.to_float() * scale), d.chart)
+
+
+def _outcome(pred, place, d1, d2):
+    try:
+        return pred(place, d1, d2)
+    except PoleInsideDisc:
+        return PoleInsideDisc
+
+
+@pytest.mark.parametrize("place", [P2, P3, Place.padic(5), Place.archimedean()],
+                         ids=["p2", "p3", "p5", "arch"])
+def test_disc_predicates_match_the_per_predicate_oracle(place):
+    rng = seeded(7000 + (place.p or 0))
+    equal_oracle = (_same_shilov_oracle if place.is_archimedean
+                    else _discs_equal_oracle)
+    seen = {True: 0, False: 0, None: 0}
+    for _ in range(2000):
+        d1 = _random_disc(rng, place)
+        d2 = _random_disc(rng, place)
+        if place.is_archimedean and rng.random() < 0.2:
+            d2 = _near_copy(rng, d1)
+        for new, old in ((discs_disjoint, _discs_disjoint_oracle),
+                         (disc_subset, _disc_subset_oracle),
+                         (discs_equal, equal_oracle)):
+            for a, b in ((d1, d2), (d2, d1)):
+                got = _outcome(new, place, a, b)
+                assert got is _outcome(old, place, a, b)
+                seen[got] = seen.get(got, 0) + 1
+    assert seen[True] and seen[False]
+    if place.is_archimedean:
+        assert seen[None]  # tangent pairs reach the undecided band

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from schottky.places import (
     ApproxReal,
-    BadResidue,
     ExactValue,
     ExactZero,
     ImaginaryAtNonArch,
@@ -34,7 +34,6 @@ def test_place_constructors():
     with pytest.raises(PlaceError):
         Place.padic(3, 0)
     assert Place.trivial_q().is_nonarchimedean
-    assert Place.trivial_fp(5).p == 5
 
 
 def test_abs_value_examples():
@@ -46,10 +45,6 @@ def test_abs_value_examples():
     assert abs_value(Place.padic(2, Fraction(1, 2)), Fraction(4)) == \
         ExactValue.p_power(2, -1)
     assert abs_value(Place.trivial_q(), Fraction(100, 7)) == ONE_ABS
-    assert abs_value(Place.trivial_fp(3), Fraction(6)).is_zero()
-    assert abs_value(Place.trivial_fp(3), Fraction(5)) == ONE_ABS
-    with pytest.raises(BadResidue):
-        abs_value(Place.trivial_fp(3), Fraction(1, 3))
     with pytest.raises(ImaginaryAtNonArch):
         abs_value(p2, GaussianRational(1, 1))
     assert abs(abs_value(Place.archimedean(), Fraction(-3)).to_float() - 3) < 1e-15
@@ -100,6 +95,20 @@ def test_exact_value_hash_agrees_with_eq_and_never_overflows():
     mixed = ExactValue.from_rational(Fraction(6) ** 5000)
     assert hash(mixed) == hash(ExactValue({3: 5000, 2: 5000}))
     assert len({huge, mixed, ExactValue.p_power(2, 5000)}) == 2
+
+
+def test_exact_and_approx_values_compare_past_the_float_range():
+    huge, tiny = ExactValue.p_power(2, 5000), ExactValue.p_power(2, -5000)
+    # These used to raise OverflowError, and tiny == 0.0 used to hold.
+    assert not huge == ApproxReal(1.0) and not ApproxReal(1.0) == huge
+    assert ApproxReal(1.0) < huge and huge > ApproxReal(1e308)
+    assert huge < ApproxReal(math.inf)
+    assert not tiny == ApproxReal(0.0) and not ApproxReal(0.0) == tiny
+    assert ApproxReal(0.0) < tiny < ApproxReal(5e-324)
+    assert ApproxReal(1e-300) > tiny
+    # Inside the float range the comparison is still the float one.
+    assert ExactValue.p_power(2, -2) == ApproxReal(0.25)
+    assert ExactValue.p_power(2, 1000) > ApproxReal(1e300)
 
 
 def test_log_exponent():

@@ -50,7 +50,7 @@ def test_proj_roundtrip():
 
 def test_place_roundtrip_and_aliases():
     for place in (Place.padic(5, Fraction(1, 2)), Place.archimedean(),
-                  Place.trivial_q(), Place.trivial_fp(7)):
+                  Place.trivial_q()):
         assert place_from_json(place_to_json(place)) == place
     # External name is "arch"; both spellings parse.
     assert place_to_json(Place.archimedean())["kind"] == "arch"
