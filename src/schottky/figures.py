@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -233,6 +234,10 @@ class SchottkyPoint:
         return out
 
     def generators(self) -> tuple[Moebius, ...]:
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> tuple[Moebius, ...]:
         return tuple(koebe_to_matrix(t) for t in self.triples)
 
     def canonical_key(self):
@@ -489,9 +494,9 @@ def normalized_figure(pt: SchottkyPoint,
         phi, absb = _pin_chart(t), abs_value(pt.place, t.beta)
         others = [((j, s), abs_value(pt.place, phi.apply(p).value()))
                   for j, s, p in pts if j != i]
-        pinned.append((t, phi, absb, sb_window(i, absb, others)))
-    gens, plus, minus, chosen = [], [], [], []
-    for i, (t, phi, absb, (lo, hi)) in enumerate(pinned, start=1):
+        pinned.append((phi, absb, sb_window(i, absb, others)))
+    plus, minus, chosen = [], [], []
+    for i, (phi, absb, (lo, hi)) in enumerate(pinned, start=1):
         if radii is None:
             r = (lo * hi).sqrt()
         else:
@@ -506,8 +511,7 @@ def normalized_figure(pt: SchottkyPoint,
         minus.append(image_of_disc(
             pt.place, phi_inv,
             Disc(GaussianRational(0), absb / r, chart="inv")))
-        gens.append(koebe_to_matrix(t))
-    fig = SchottkyFigure(pt.place, tuple(gens), tuple(plus), tuple(minus),
+    fig = SchottkyFigure(pt.place, pt.generators(), tuple(plus), tuple(minus),
                          witness="normalized(" + ",".join(map(repr, chosen)) + ")",
                          point=pt)
     return validate_figure(fig)

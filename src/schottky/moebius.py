@@ -1,24 +1,36 @@
 """Moebius transformations, fixed-point coordinates and disc geometry.
 
-Matrices act on the projective line over the Gaussian rationals.  At a
+Matrices act on the projective line over the Gaussian rationals, stored as
+Gaussian-integer numerators over one common denominator.  At a
 non-archimedean place everything here is exact; at an archimedean place
 disc geometry runs in machine floats with a declared tolerance band
 (comparisons inside the band answer None, "can't certify").  Every disc
 comparison goes through the kernels ``ball_inside`` and ``balls_apart``, over
 closed balls B[a, r] = {|z - a| <= r} and open ones B(a, r) = {|z - a| < r}.
+
+At a p-adic place the disc kernel measures x by its log_p magnitude
+L(x) = -v_p(x) eps (-inf for 0), |x| = p^L(x).  L is strictly increasing in
+|x|, so every ultrametric comparison keeps its form on L, and products of
+absolute values become sums.  Radii that are not powers of p, and the
+trivial place, run the same code on ``AbsValue``s.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
-from .exactnum import GaussianRational, as_gaussian
+from .exactnum import ZERO, GaussianRational, as_gaussian, padic_valuation
 from .places import (
     AbsValue,
     ApproxReal,
+    ExactValue,
+    ImaginaryAtNonArch,
     Place,
     abs_value,
 )
@@ -113,42 +125,46 @@ def wedge(x: ProjPoint, y: ProjPoint) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Moebius:
     """z -> (a z + b) / (c z + d) with Gaussian-rational entries.
 
-    The determinant is computed once, at construction; products and
-    inverses carry it over instead of recomputing it.
+    Stored as the Gaussian-integer numerators (re, im) of a, b, c, d over
+    one common denominator s > 0, plus dn = (ad - bc) s^2.  This is not a
+    projective rescaling: s is never reduced (a product's is the product
+    of its factors'), and ``a`` .. ``d``, ``det()``, equality and hashing
+    are those of the exact entries, built on access.
     """
 
-    a: GaussianRational
-    b: GaussianRational
-    c: GaussianRational
-    d: GaussianRational
+    __slots__ = ("_n", "_s", "_dn")
 
-    def __post_init__(self):
-        for name in "abcd":
-            v = as_gaussian(getattr(self, name))
-            if v is None:
-                raise TypeError("matrix entries must be Gaussian rationals")
-            object.__setattr__(self, name, v)
-        det = self.a * self.d - self.b * self.c
-        if det.is_zero():
+    def __init__(self, a, b, c, d):
+        entries = [as_gaussian(x) for x in (a, b, c, d)]
+        if any(z is None for z in entries):
+            raise TypeError("matrix entries must be Gaussian rationals")
+        parts = [q for z in entries for q in (z.re, z.im)]
+        self._s = s = math.lcm(*(q.denominator for q in parts))
+        self._n = ar, ai, br, bi, cr, ci, dr, di = tuple(
+            q.numerator * (s // q.denominator) for q in parts)
+        self._dn = (ar * dr - ai * di - br * cr + bi * ci,
+                    ar * di + ai * dr - br * ci - bi * cr)
+        if self._dn == (0, 0):
             raise ValueError("matrix is singular")
-        object.__setattr__(self, "_det", det)
 
     @staticmethod
-    def _carrying(a, b, c, d, det: GaussianRational) -> "Moebius":
-        """A matrix whose determinant ad - bc is already known (nonzero)."""
+    def _of(n: tuple, s: int, dn: tuple) -> "Moebius":
         m = object.__new__(Moebius)
-        m.__dict__.update(a=a, b=b, c=c, d=d, _det=det)
+        m._n, m._s, m._dn = n, s, dn
         return m
 
+    a, b, c, d = (property(lambda self, k=k: _over(*self._n[k:k + 2], self._s))
+                  for k in (0, 2, 4, 6))
+
     def det(self) -> GaussianRational:
-        return self._det
+        return _over(*self._dn, self._s * self._s)
 
     def tr(self) -> GaussianRational:
-        return self.a + self.d
+        n = self._n
+        return _over(n[0] + n[6], n[1] + n[7], self._s)
 
     def canonical(self) -> "Moebius":
         """Scale so the first nonzero entry (row order) is 1."""
@@ -160,20 +176,28 @@ class Moebius:
     def __mul__(self, other: "Moebius") -> "Moebius":
         if not isinstance(other, Moebius):
             return NotImplemented
-        return Moebius._carrying(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self._det * other._det,
-        )
+        ar, ai, br, bi, cr, ci, dr, di = self._n
+        er, ei, fr, fi, gr, gi, hr, hi = other._n
+        (pr, pi), (qr, qi) = self._dn, other._dn
+        n = (ar * er - ai * ei + br * gr - bi * gi, ar * ei + ai * er + br * gi + bi * gr,
+             ar * fr - ai * fi + br * hr - bi * hi, ar * fi + ai * fr + br * hi + bi * hr,
+             cr * er - ci * ei + dr * gr - di * gi, cr * ei + ci * er + dr * gi + di * gr,
+             cr * fr - ci * fi + dr * hr - di * hi, cr * fi + ci * fr + dr * hi + di * hr)
+        return Moebius._of(n, self._s * other._s, (pr * qr - pi * qi, pr * qi + pi * qr))
 
     def inverse(self) -> "Moebius":
-        return Moebius._carrying(self.d, -self.b, -self.c, self.a, self._det)
+        ar, ai, br, bi, cr, ci, dr, di = self._n
+        return Moebius._of((dr, di, -br, -bi, -cr, -ci, ar, ai), self._s, self._dn)
 
     def apply(self, pt: ProjPoint) -> ProjPoint:
-        return ProjPoint(self.a * pt.u + self.b * pt.v,
-                         self.c * pt.u + self.d * pt.v)
+        # The common denominator s cancels in the projective image.
+        ar, ai, br, bi, cr, ci, dr, di = self._n
+        u, v = pt.u, pt.v
+        if not (ai or bi or ci or di or u.im):
+            x, y = (1, 0) if pt.is_infinity else (u.re.numerator, u.re.denominator)
+            return ProjPoint(ar * x + br * y, cr * x + dr * y)
+        return ProjPoint(GaussianRational(ar, ai) * u + GaussianRational(br, bi) * v,
+                         GaussianRational(cr, ci) * u + GaussianRational(dr, di) * v)
 
     def __call__(self, pt: ProjPoint) -> ProjPoint:
         return self.apply(pt)
@@ -188,7 +212,8 @@ class Moebius:
 
     def is_identity(self) -> bool:
         # The six cross-products against (1, 0, 0, 1) are b, c and a - d.
-        return self.b.is_zero() and self.c.is_zero() and self.a == self.d
+        n = self._n
+        return not (n[2] or n[3] or n[4] or n[5]) and n[0:2] == n[6:8]
 
     def multiplier_invariant(self) -> GaussianRational:
         """tr^2/det: a conjugacy invariant, equals beta + 2 + 1/beta."""
@@ -196,8 +221,24 @@ class Moebius:
         return t * t / self.det()
 
     def to_complex(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a.to_complex(), self.b.to_complex(),
-                self.c.to_complex(), self.d.to_complex())
+        # int / int is correctly rounded, as float(Fraction) is.
+        n, s = self._n, self._s
+        return tuple(complex(n[k] / s, n[k + 1] / s) for k in (0, 2, 4, 6))
+
+    def __eq__(self, other):
+        if other.__class__ is not Moebius:
+            return NotImplemented
+        return all(x * other._s == y * self._s for x, y in zip(self._n, other._n))
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return f"Moebius(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
+
+
+def _over(re: int, im: int, s: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, s), Fraction(im, s) if im else 0)
 
 
 IDENTITY = Moebius(GaussianRational(1), GaussianRational(0),
@@ -414,11 +455,6 @@ class Disc:
             raise ValueError("disc radius must be positive")
 
 
-def _translated(g: Moebius, z0: GaussianRational):
-    """Entries of g pre-composed with z -> z + z0."""
-    return g.a, g.a * z0 + g.b, g.c, g.c * z0 + g.d
-
-
 def image_of_disc(place: Place, f: Moebius, disc: Disc) -> Disc:
     """The image f(disc), as a disc in whichever chart can hold it.
 
@@ -431,16 +467,63 @@ def image_of_disc(place: Place, f: Moebius, disc: Disc) -> Disc:
     return _image_arch(g, disc)
 
 
+# -- magnitudes at a non-archimedean place -------------------------------------
+
+
+_NOT_REAL = "non-archimedean places are defined on rational values only"
+
+
+def _scale(place: Place, *radii: AbsValue):
+    """(of, radii, mul, div, value): of(x) is the magnitude of an integer x,
+    radii the given radii as magnitudes, mul and div act on magnitudes, and
+    value(m) is m as an AbsValue.  A magnitude is q L(x), an int, when the
+    place is p-adic and every radius is p^e with e in (1/q)Z, q = 2 den(eps)
+    (as are geometric means of p-adic absolute values); else an AbsValue."""
+    if place.kind == "padic":
+        p, q, logs = place.p, 2 * place.eps.denominator, []
+        for r in radii:
+            f = getattr(r, "factors", None)
+            if f is None or len(f) > (p in f):
+                break
+            n, d = f[p].as_integer_ratio() if f else (0, 1)
+            if q % d:
+                break
+            logs.append(n * q // d)
+        else:
+            unit = 2 * place.eps.numerator
+            return (lambda x: -padic_valuation(x, p) * unit if x else -math.inf,
+                    logs, operator.add, operator.sub,
+                    lambda e: ExactValue.p_power(p, Fraction(e, q)))
+    return (partial(abs_value, place), radii, operator.mul, operator.truediv,
+            lambda r: r)
+
+
+def _dist(of, div, a: GaussianRational, b: GaussianRational):
+    """|a - b| as a magnitude: |n d' - n' d| / |d d'| for a = n/d, b = n'/d'."""
+    if a.im or b.im:
+        raise ImaginaryAtNonArch(_NOT_REAL)
+    (n, d), (n2, d2) = a.re.as_integer_ratio(), b.re.as_integer_ratio()
+    return div(of(n * d2 - n2 * d), of(d * d2))
+
+
 def _image_nonarch(place: Place, g: Moebius, disc: Disc) -> Disc:
-    a, b2, c, d2 = _translated(g, disc.center)
-    r = disc.radius
-    absdet = abs_value(place, g.det())
-    ad, ac = abs_value(place, d2), abs_value(place, c)
-    if ad > r * ac:
-        return Disc(b2 / d2, absdet * r / (ad * ad), "std")
-    ab, aa = abs_value(place, b2), abs_value(place, a)
-    if ab > r * aa:
-        return Disc(d2 / b2, absdet * r / (ab * ab), "inv")
+    # With z0 = n/m the entries of g(z + z0), times s m, are A = a m,
+    # B = a n + b m, C = c m, D = c n + d m, of determinant dn m^2; the
+    # factor s m cancels in the centre B/D and in the radius |det| r / |D|^2.
+    a, ai, b, bi, c, ci, d, di = g._n
+    if disc.center.im or ai or bi or ci or di:
+        raise ImaginaryAtNonArch(_NOT_REAL)
+    n, m = disc.center.re.as_integer_ratio()
+    of, (r,), mul, div, value = _scale(place, disc.radius)
+    A, B, C, D = a * m, a * n + b * m, c * m, c * n + d * m
+    det, ad, ac = of(g._dn[0] * m * m), of(D), of(C)
+    if ad > mul(r, ac):
+        return Disc(GaussianRational(Fraction(B, D)),
+                    value(div(mul(det, r), mul(ad, ad))), "std")
+    ab, aa = of(B), of(A)
+    if ab > mul(r, aa):
+        return Disc(GaussianRational(Fraction(D, B)),
+                    value(div(mul(det, r), mul(ab, ab))), "inv")
     raise PoleInsideDisc("image is not a disc in either chart")
 
 
@@ -478,9 +561,10 @@ def disc_shape(place: Place, disc: Disc):
         return ("std", disc.center, disc.radius)
     c, r = disc.center, disc.radius
     if place.is_nonarchimedean:
-        ac = abs_value(place, c)
-        if ac > r:
-            return ("std", GaussianRational(1) / c, r / (ac * ac))
+        of, (lr,), mul, div, value = _scale(place, r)
+        ac = _dist(of, div, c, ZERO)
+        if ac > lr:
+            return ("std", GaussianRational(1 / c.re), value(div(lr, mul(ac, ac))))
         return ("codisc", GaussianRational(0), r ** -1)
     zc = c.to_complex()
     rf = r.to_float()
@@ -504,11 +588,13 @@ def ball_inside(place: Place, a: GaussianRational, ra: AbsValue, b: GaussianRati
     closed ball in an open B(b, rb) iff dist < rb and ra < rb, an open
     one iff dist < rb and ra <= rb.  Archimedean: sign of rb - dist - ra.
     """
-    dist = abs_value(place, a - b)
     if place.is_nonarchimedean:
+        of, (ra, rb), _, div, _ = _scale(place, ra, rb)
+        dist = _dist(of, div, a, b)
         if not b_open:
             return dist <= rb and ra <= rb
         return dist < rb and (ra <= rb if a_open else ra < rb)
+    dist = abs_value(place, a - b)
     return _arch_sign(rb.to_float() - dist.to_float() - ra.to_float(),
                       rb.to_float() + dist.to_float() + ra.to_float())
 
@@ -521,9 +607,11 @@ def balls_apart(place: Place, a: GaussianRational, ra: AbsValue, b: GaussianRati
     an open B(b, rb) iff dist > ra and dist >= rb.  Archimedean: sign of
     dist - ra - rb.
     """
-    dist = abs_value(place, a - b)
     if place.is_nonarchimedean:
+        of, (ra, rb), _, div, _ = _scale(place, ra, rb)
+        dist = _dist(of, div, a, b)
         return dist > ra and (dist >= rb if b_open else dist > rb)
+    dist = abs_value(place, a - b)
     return _arch_sign(dist.to_float() - ra.to_float() - rb.to_float(),
                       dist.to_float() + ra.to_float() + rb.to_float())
 

@@ -313,19 +313,24 @@ class ExactValue(AbsValue):
         return math.fsum(float(e) * math.log(b) for b, e in self.factors.items())
 
     def to_float(self) -> float:
+        """Correctly rounded when every exponent is an integer and the value
+        has at most 2000 bits; else exp of the logarithm."""
+        f = self.factors
+        if all(e.denominator == 1 for e in f.values()) and sum(
+                abs(e) * b.bit_length() for b, e in f.items()) <= 2000:
+            return float(math.prod(Fraction(b) ** e for b, e in f.items()))
         return math.exp(self._log())
 
     def _cmp_float(self, x: float) -> int:
         """Order against x >= 0: as floats where to_float() is finite and
         nonzero (so == agrees with hash), else by logarithms."""
-        log = self._log()
         try:
-            a = math.exp(log)
+            a = self.to_float()
         except OverflowError:
             a = math.inf
         if 0 < a < math.inf:
             return (a > x) - (a < x)
-        log_x = math.log(x) if x > 0 else -math.inf
+        log, log_x = self._log(), math.log(x) if x > 0 else -math.inf
         return (log > log_x) - (log < log_x)
 
     def log_exponent(self, p: int, eps: Fraction) -> Fraction:

@@ -111,6 +111,19 @@ def test_exact_and_approx_values_compare_past_the_float_range():
     assert ExactValue.p_power(2, 1000) > ApproxReal(1e300)
 
 
+def test_integer_powers_convert_to_the_nearest_float():
+    # exp(3 log 2) is 7.999999999999998, so these equalities used to fail.
+    assert ExactValue.p_power(2, 3).to_float() == 8.0
+    assert ExactValue.p_power(2, 3) == ApproxReal(8.0)
+    assert ExactValue.from_rational(8) == ApproxReal(8.0) == ExactValue.p_power(2, 3)
+    assert hash(ExactValue.p_power(2, 3)) == hash(ApproxReal(8.0))
+    assert ExactValue.from_rational(Fraction(1, 9)).to_float() == 1 / 9
+    assert ExactValue.from_rational(Fraction(125, 6)).to_float() == 125 / 6
+    # Other exponents, and values past 2000 bits, go by the logarithm.
+    assert math.isclose(ExactValue.p_power(2, Fraction(1, 2)).to_float(), math.sqrt(2))
+    assert ExactValue.p_power(3, 1500) > ApproxReal(1e308)
+
+
 def test_log_exponent():
     v = ExactValue.p_power(2, Fraction(-3))
     assert v.log_exponent(2, Fraction(1)) == 3
