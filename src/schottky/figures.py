@@ -387,9 +387,11 @@ def ford_figure_from_triples(place: Place, triples: Sequence[KoebeTriple],
         if lam <= 0:
             raise ValueError("lambdas must be positive")
         m = koebe_to_matrix(t)
-        if m.c.is_zero():
+        ar, ai, _, _, cr, ci, dr, di = m._n
+        if not (cr or ci):
             raise GeneratorFixesInfinity(
                 "ford discs need every generator to move infinity")
+        c = GaussianRational(cr, ci)  # s cancels in the centres a/c, -d/c
         absdet = abs_value(place, m.det())
         absc = abs_value(place, m.c)
         if place.is_nonarchimedean:
@@ -400,8 +402,8 @@ def ford_figure_from_triples(place: Place, triples: Sequence[KoebeTriple],
         gens.append(m)
         # gamma sends the complement of the disc around its pole -d/c to
         # a disc around gamma(infinity) = a/c, so the latter is B+(gamma).
-        plus.append(Disc(m.a / m.c, rho / lam_v))
-        minus.append(Disc(-m.d / m.c, rho))
+        plus.append(Disc(GaussianRational(ar, ai) / c, rho / lam_v))
+        minus.append(Disc(GaussianRational(-dr, -di) / c, rho))
     fig = SchottkyFigure(place, tuple(gens), tuple(plus), tuple(minus),
                          witness="ford(" + ",".join(str(Fraction(x)) for x in lambdas) + ")")
     return validate_figure(fig)
@@ -610,34 +612,42 @@ class SchottkyResult:
 
 
 def is_schottky(pt: SchottkyPoint, nielsen_depth: int = 2) -> SchottkyResult:
-    """Search for a basis change putting the point into the good locus."""
+    """Search for a basis change putting the point into the good locus.
+
+    Breadth-first over words of up to ``nielsen_depth`` letters, skipping
+    points seen before; the first point `is_in_SB` certifies is the answer.
+    Only exact points are built (`outer.exact_step`): every image of an
+    approximate point is approximate, and none would be tested.  At a
+    non-archimedean place a letter that permutes and inverts generators
+    keeps the SB status (the inequalities run over all i, j, k), so its
+    images of a "no" are not tested, nor built on the last level.
+    """
     from . import outer
 
-    queue: list[tuple[outer.NielsenWord, SchottkyPoint]] = [
-        (outer.NielsenWord(()), pt)]
-    seen = {pt.canonical_key()} if not pt.approximate else set()
     letters = outer.nielsen_letters(pt.g)
+    keeps_status = {s for s in letters if pt.place.is_nonarchimedean and all(
+        len(w) == 1 for w in outer.letter_images(s, pt.g).values())}
+    queue = [(outer.NielsenWord(()), pt, False)]
+    seen = {pt.canonical_key()}
     idx = 0
     while idx < len(queue):
-        word, cur = queue[idx]
+        word, cur, known_no = queue[idx]
         idx += 1
-        if not cur.approximate:
+        if not (known_no or cur.approximate):
             res = is_in_SB(cur)
             if res.status == "yes":
                 return SchottkyResult("yes", tau=word, figure=res.figure)
-        if len(word.letters) >= nielsen_depth:
+        if len(word) >= nielsen_depth:
             continue
         for s in letters:
-            try:
-                nxt = outer.nielsen_apply(s, cur)
-            except ValueError:
+            if s in keeps_status and len(word) + 1 == nielsen_depth:
                 continue
-            if not nxt.approximate:
-                key = nxt.canonical_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-            queue.append((outer.NielsenWord(word.letters + (s,)), nxt))
+            nxt = outer.exact_step(s, cur)
+            if nxt is None or nxt.canonical_key() in seen:
+                continue
+            seen.add(nxt.canonical_key())
+            queue.append((outer.NielsenWord(word.letters + (s,)), nxt,
+                          s in keeps_status))
     return SchottkyResult("unknown")
 
 

@@ -163,8 +163,10 @@ class Moebius:
         return _over(*self._dn, self._s * self._s)
 
     def tr(self) -> GaussianRational:
-        n = self._n
-        return _over(n[0] + n[6], n[1] + n[7], self._s)
+        return _over(*self._t(), self._s)
+
+    def _t(self) -> tuple[int, int]:  # the trace's numerator over s
+        return self._n[0] + self._n[6], self._n[1] + self._n[7]
 
     def canonical(self) -> "Moebius":
         """Scale so the first nonzero entry (row order) is 1."""
@@ -279,9 +281,9 @@ def is_loxodromic(place: Place, m: Moebius) -> bool:
     Non-archimedean: the exact test |det| < |tr|^2.  Archimedean: the
     eigenvalue moduli must differ by more than a 1e-12 relative margin.
     """
-    if place.is_nonarchimedean:
-        t = abs_value(place, m.tr())
-        return abs_value(place, m.det()) < t * t
+    if place.is_nonarchimedean:  # s^2 cancels: |det| < |tr|^2 iff |dn| < |t|^2
+        t = abs_value(place, GaussianRational(*m._t()))
+        return abs_value(place, GaussianRational(*m._dn)) < t * t
     ca, cb, cc, cd = m.to_complex()
     tr, det = ca + cd, ca * cd - cb * cc
     s = cmath.sqrt(tr * tr - 4 * det)
@@ -325,53 +327,69 @@ def koebe_to_matrix(t: KoebeTriple) -> Moebius:
     )
 
 
-def _eigen_point(m: Moebius, lam: GaussianRational) -> ProjPoint:
-    if not (m.b.is_zero() and lam == m.a):
-        return ProjPoint(m.b, lam - m.a)
-    return ProjPoint(lam - m.d, m.c)
+def _eigen_point(m: Moebius, e: GaussianRational, k: int) -> ProjPoint:
+    """The fixed point of eigenvalue lam = e / (k s): the kernel of m - lam,
+    computed on the numerators scaled by k s."""
+    ar, ai, br, bi, cr, ci, dr, di = m._n
+    ka = GaussianRational(k * ar, k * ai)
+    if br or bi or e != ka:
+        return ProjPoint(GaussianRational(k * br, k * bi), e - ka)
+    return ProjPoint(e - GaussianRational(k * dr, k * di), GaussianRational(k * cr, k * ci))
+
+
+def split_root(place: Place, m: Moebius) -> Optional[tuple[int, int]]:
+    """A root (re, im) of D = (n_a + n_d)^2 - 4 dn = s^2 (tr^2 - 4 det) in the
+    place's exact field (Q non-archimedean, Q(i) archimedean), or None.  The
+    fixed points of m are exact iff it exists.  Z[i] is integrally closed,
+    so the root is a Gaussian integer, found with ``math.isqrt``."""
+    (tr, ti), (pr, pi) = m._t(), m._dn
+    x, y = tr * tr - ti * ti - 4 * pr, 2 * tr * ti - 4 * pi
+    if not y:
+        r = math.isqrt(abs(x))
+        if r * r != abs(x) or (x < 0 and place.is_nonarchimedean):
+            return None
+        return (r, 0) if x >= 0 else (0, r)
+    norm = math.isqrt(x * x + y * y)
+    if place.is_nonarchimedean or norm * norm != x * x + y * y or (x + norm) % 2:
+        return None
+    u = math.isqrt((x + norm) // 2)
+    if u * u * 2 != x + norm or y % (2 * u):
+        return None
+    return (u, y // (2 * u))
 
 
 def matrix_to_koebe(place: Place, m: Moebius, prec: int = 64) -> KoebeTriple:
     """Fixed points and multiplier of a loxodromic transformation.
 
-    When the characteristic polynomial splits over the Gaussian
-    rationals the answer is exact.  Otherwise a root is lifted
-    iteratively: mod p^prec at a p-adic place (Hensel/Newton), in
-    machine floats at an archimedean one; the result carries
-    ``approximate=True``.
+    When the characteristic polynomial splits over the place's exact field
+    (`split_root`) the answer is exact: the eigenvalues are (t +- r) / (2 s),
+    t = n_a + n_d.  Otherwise a root is lifted iteratively: mod p^prec at a
+    p-adic place (Hensel/Newton), in machine floats at an archimedean one;
+    the result carries ``approximate=True``.
     """
     if not is_loxodromic(place, m):
         raise NotLoxodromic("transformation is not loxodromic at this place")
-    tr, det = m.tr(), m.det()
-    disc = tr * tr - 4 * det
-    s = disc.sqrt()
-    if s is not None and place.is_nonarchimedean and not s.is_rational():
-        s = None  # eigenvalues live in Q(i), not in Q: lift p-adically
-    if s is not None:
-        lam1, lam2 = (tr + s) / 2, (tr - s) / 2
-        a1, a2 = abs_value(place, lam1), abs_value(place, lam2)
-        if a1 < a2:
-            small, big = lam1, lam2
-        else:
-            small, big = lam2, lam1
-        # The local derivative at a fixed point is (other eigenvalue)/(own
-        # eigenvalue), so the attracting point belongs to the big eigenvalue.
-        return KoebeTriple(
-            _eigen_point(m, big), _eigen_point(m, small), small / big, False
-        )
-    if place.is_archimedean:
-        return _arch_koebe(m)
-    return _padic_koebe(place, m, tr, det, prec)
+    root = split_root(place, m)
+    if root is None:
+        return _arch_koebe(m) if place.is_archimedean else _padic_koebe(place, m, prec)
+    t, r = GaussianRational(*m._t()), GaussianRational(*root)
+    small, big = t + r, t - r  # 2 s times the eigenvalues
+    if not abs_value(place, small) < abs_value(place, big):
+        small, big = big, small
+    # The local derivative at a fixed point is (other eigenvalue)/(own
+    # eigenvalue), so the attracting point belongs to the big eigenvalue.
+    return KoebeTriple(_eigen_point(m, big, 2), _eigen_point(m, small, 2), small / big)
 
 
-def _padic_koebe(place: Place, m: Moebius, tr, det, prec: int) -> KoebeTriple:
-    if not (tr.is_rational() and det.is_rational()):
+def _padic_koebe(place: Place, m: Moebius, prec: int) -> KoebeTriple:
+    (tr, ti), (dn, di) = m._t(), m._dn
+    if ti or di:
         raise ValueError("p-adic lift needs rational trace and determinant")
-    # Reduced equation Y^2 - Y + c = 0 with c = det/tr^2, |c|_p < 1;
+    # Reduced equation Y^2 - Y + c = 0 with c = det/tr^2 = dn/t^2, |c|_p < 1;
     # lift the root near 0 mod p^prec.
-    c = det.re / (tr.re * tr.re)
     p = place.p
     mod = p**prec
+    c = Fraction(dn, tr * tr)
     c_int = c.numerator * pow(c.denominator, -1, mod) % mod
     y = 0
     for _ in range(prec.bit_length() + 3):
@@ -379,11 +397,9 @@ def _padic_koebe(place: Place, m: Moebius, tr, det, prec: int) -> KoebeTriple:
         if f == 0:
             break
         y = (y - f * pow(2 * y - 1, -1, mod)) % mod
-    y_rat = GaussianRational(Fraction(y))
-    small = tr * y_rat
-    big = tr * (GaussianRational(1) - y_rat)
+    small, big = GaussianRational(tr * y), GaussianRational(tr * (1 - y))  # s lam
     return KoebeTriple(
-        _eigen_point(m, big), _eigen_point(m, small), small / big, True
+        _eigen_point(m, big, 1), _eigen_point(m, small, 1), small / big, True
     )
 
 
@@ -399,7 +415,7 @@ def _arch_koebe(m: Moebius) -> KoebeTriple:
     small = GaussianRational.from_complex(lam1)
     big = GaussianRational.from_complex(lam2)
     return KoebeTriple(
-        _eigen_point(m, big), _eigen_point(m, small), small / big, True
+        _eigen_point(m, big * m._s, 1), _eigen_point(m, small * m._s, 1), small / big, True
     )
 
 

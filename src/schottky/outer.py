@@ -13,9 +13,9 @@ return an approximately-known point (flagged as such).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .exactnum import GaussianRational
 from .moebius import (
@@ -25,6 +25,7 @@ from .moebius import (
     ProjPoint,
     matrix_to_koebe,
     moebius_to_zero_inf_one,
+    split_root,
 )
 from .places import Place
 from .figures import ReducedWord, SchottkyPoint, evaluate_word
@@ -207,20 +208,34 @@ def nielsen_apply(s: str, pt: SchottkyPoint, prec: int = 64) -> SchottkyPoint:
 
     Permutation and inversion letters act exactly on the stored
     coordinates; the left-multiplication letters need the fixed points
-    of a product matrix and may yield an approximate point.
+    of a product matrix and may yield an approximate point.  A triple
+    computed from a word is approximate when any triple the word reads is.
     """
-    g = pt.g
-    images = letter_images(s, g)
     triples = []
-    for i in range(1, g + 1):
-        w = images[i]
+    for w in letter_images(s, pt.g).values():
         if len(w) == 1:
             t = pt.triples[abs(w.letters[0]) - 1]
             triples.append(t if w.letters[0] > 0 else _invert_triple(t))
         else:
-            m = evaluate_word(pt, w)
-            triples.append(matrix_to_koebe(pt.place, m, prec=prec))
+            t = matrix_to_koebe(pt.place, evaluate_word(pt, w), prec=prec)
+            fuzzy = any(pt.triples[abs(x) - 1].approximate for x in w)
+            triples.append(replace(t, approximate=True) if fuzzy else t)
     return _normalize_triples(pt.place, triples)
+
+
+def exact_step(s: str, pt: SchottkyPoint) -> Optional[SchottkyPoint]:
+    """nielsen_apply(s, pt) if that point is exact, else None (also when
+    the letter raises ValueError).  Exactness is decided first, by
+    `split_root` on each product matrix, before any lift or point is built.
+    """
+    if pt.approximate or any(
+            len(w) > 1 and split_root(pt.place, evaluate_word(pt, w)) is None
+            for w in letter_images(s, pt.g).values()):
+        return None
+    try:
+        return nielsen_apply(s, pt)
+    except ValueError:
+        return None
 
 
 def apply_word(word: NielsenWord, pt: SchottkyPoint,
@@ -238,9 +253,9 @@ def apply_word(word: NielsenWord, pt: SchottkyPoint,
 def stabilizer_search(pt: SchottkyPoint, bound: int) -> list[NielsenWord]:
     """All words of length <= bound that fix the point exactly.
 
-    Requires exact coordinates (non-archimedean); words whose action
-    passes through an approximate point are skipped rather than
-    compared with tolerances.
+    Requires exact coordinates (non-archimedean).  Every point an
+    approximate one leads to is approximate too, so only exact points
+    are built (`exact_step`) rather than compared with tolerances.
     """
     letters = nielsen_letters(pt.g)
     found: list[NielsenWord] = []
@@ -251,9 +266,7 @@ def stabilizer_search(pt: SchottkyPoint, bound: int) -> list[NielsenWord]:
         if len(word) >= bound:
             continue
         for s in letters:
-            try:
-                nxt = nielsen_apply(s, cur)
-            except ValueError:
-                continue
-            frontier.append((NielsenWord(word.letters + (s,)), nxt))
+            nxt = exact_step(s, cur)
+            if nxt is not None:
+                frontier.append((NielsenWord(word.letters + (s,)), nxt))
     return found

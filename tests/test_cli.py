@@ -188,6 +188,20 @@ def test_act(capsys):
     assert code == EXIT_MALFORMED
 
 
+def test_act_keeps_the_approximate_flag(capsys):
+    # s4 reads the approximate second triple, so the triple it computes
+    # is approximate even though its product matrix splits over Q.
+    point = json.dumps({
+        "place": {"kind": "padic", "p": 3, "eps": "1"}, "g": 2,
+        "koebe": [{"beta": "3"},
+                  {"beta": "3", "alpha_prime": "-20", "approximate": True}]})
+    code, rep = run(capsys, "act", "--json", point, "--word", "s4")
+    assert code == EXIT_YES
+    assert rep["point"]["koebe"][1] == {
+        "alpha_prime": "-3/5", "approximate": True, "beta": "81/49"}
+    assert "approximate" not in rep["point"]["koebe"][0]
+
+
 def test_hybrid(capsys):
     payload = json.dumps({"r": ["1/2", "1/3"], "fixed": ["-2"]})
     code, rep = run(capsys, "hybrid", "--json", payload,

@@ -29,6 +29,7 @@ from schottky.moebius import (
     matrix_to_koebe,
     moebius,
     moebius_to_zero_inf_one,
+    split_root,
     wedge,
 )
 
@@ -143,6 +144,38 @@ def test_padic_lift_branch():
     diff = inv - m.multiplier_invariant()
     assert diff.im == 0
     assert padic_valuation(diff.re, 2) >= 32
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_split_root_is_the_exact_square_root(gaussian):
+    # split_root's integer test against GaussianRational.sqrt of the
+    # discriminant tr^2 - 4 det: root / s is that square root, and the
+    # p-adic place takes only rational ones.
+    rng = seeded(31 + gaussian)
+    arch = Place.archimedean()
+    counts = {P3: 0, arch: 0}
+    for _ in range(300):
+        entries = [GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                    rng.randint(-3, 3) if gaussian else 0)
+                   for _ in range(4)]
+        if rng.random() < 0.5:  # fixed points in Q(i): the roots exist
+            a, b, beta = entries[:3]
+            if a == b or beta.is_zero():
+                continue
+            m = koebe_to_matrix(KoebeTriple(ProjPoint.finite(a), ProjPoint.finite(b), beta))
+        else:
+            try:
+                m = Moebius(*entries)
+            except ValueError:
+                continue
+        tr = m.tr()
+        root = (tr * tr - 4 * m.det()).sqrt()
+        for place in (P3, arch):
+            want = root if place is arch or root is None or root.is_rational() else None
+            got = split_root(place, m)
+            assert (None if got is None else GaussianRational(*got) / m._s) == want
+            counts[place] += got is not None
+    assert all(counts.values())
 
 
 def test_not_loxodromic():
