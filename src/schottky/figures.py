@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exactnum import ZERO, GaussianRational, Rat, as_gaussian
+from .exactnum import ONE, GaussianRational, Rat, as_gaussian
 from .moebius import (
     Disc,
     IDENTITY,
@@ -521,77 +521,117 @@ def normalized_figure(pt: SchottkyPoint,
 
 # -- archimedean search -------------------------------------------------------
 
+_FORD_SCALE = [2.0 ** t for t in range(-8, 9)]  # sqrt(lambda) for lambda = 4^t
+
+
+def _numerator(x: GaussianRational) -> tuple[int, int, int]:
+    """(re, im, d) with x = (re + im i) / d and d > 0; no gcd is taken."""
+    r, i = x.re, x.im
+    return (r.numerator * i.denominator, i.numerator * r.denominator,
+            r.denominator * i.denominator)
+
+
+def _conjugated(p: ProjPoint, m: int) -> tuple[int, int, int]:
+    """1/(p - m) as a `_numerator` triple; infinity maps to 0."""
+    if p.is_infinity:
+        return 0, 0, 1
+    xr, xi, xd = _numerator(p.u)
+    u = xr - m * xd
+    return xd * u, -xd * xi, u * u + xi * xi
+
+
+def _ford_proposals(pt: SchottkyPoint, m: int) -> tuple[list[complex], list[float]]:
+    """Ford centres (pole, then a/c) and base radii after z -> 1/(z - m).
+
+    With x = X/xd, y = Y/yd, beta = B/bd, c = C/bd in integers, (x - beta y)/c
+    is (X bd yd - B Y xd) conj(C) / (xd yd |C|^2).  Each part is one correctly
+    rounded int / int division: float() of the exact rational, bit for bit.
+    """
+    centres, rho = [], []
+    for t in pt.triples:
+        br, bi, bd = _numerator(t.beta)
+        cr, ci = bd - br, -bi  # c = 1 - beta = (cr + ci i) / bd
+        ar, ai, ad = _conjugated(t.alpha, m)
+        pr, pi, pd = _conjugated(t.alpha_prime, m)
+        n2 = ad * pd * (cr * cr + ci * ci)
+        for xr, xi, xd, yr, yi, yd in ((pr, pi, pd, ar, ai, ad),  # (a', a)
+                                       (ar, ai, ad, pr, pi, pd)):
+            nr = xr * bd * yd - (br * yr - bi * yi) * xd
+            ni = xi * bd * yd - (br * yi + bi * yr) * xd
+            centres.append(complex((nr * cr + ni * ci) / n2,
+                                   (ni * cr - nr * ci) / n2))
+        dr, di = ar * pd - pr * ad, ai * pd - pi * ad  # (a - a') ad pd
+        sr, si, n2 = dr * dr - di * di, 2 * dr * di, bd * (ad * pd) ** 2
+        det = complex((br * sr - bi * si) / n2, (br * si + bi * sr) / n2)
+        rho.append(abs(det) ** 0.5 / abs(complex(cr / bd, ci / bd)))
+    return centres, rho
+
+
 def _arch_ford_search(pt: SchottkyPoint) -> Optional[SchottkyFigure]:
     """Coordinate-descent search for disjoint Ford discs, up to conjugation.
 
     h(z) = 1/(z - m) sends each fixed point alpha to a = 1/(alpha - m)
     (infinity to 0), and the Koebe matrix of (a, a', beta) has c = 1 - beta,
-    pole -d/c = (a' - beta a)/c, a/c = (a - beta a')/c, det beta (a - a')^2:
-    the exact rationals `koebe_to_matrix` gives, read off in closed form.
-    c does not depend on m, so a degenerate c ends the search at once.
+    pole -d/c = (a' - beta a)/c, a/c = (a - beta a')/c, det beta (a - a')^2.
+    `_ford_proposals` computes these from integer numerators, correctly
+    rounded: bit-identical to float() of the exact rationals.  c does not
+    depend on m, so a degenerate c ends the search at once.
 
     Ford disc i gets lambda_i = 4^t_i, t_i in [-8, 8]; the margin is the
-    least d - r - r' over disc pairs.  Sweeping coordinate i, the pairs
-    apart from generator i's two discs are scored once, and each t rescores
-    only the 4g - 3 pairs touching them (ties go to the larger t).  A sweep
-    is a function of the exponents alone, so the sweeps (at most three)
-    stop at the first one that changes nothing.
+    least (d - r) - r' over disc pairs.  Sweeping coordinate i, the pairs
+    apart from its discs P = 2i, Q = 2i + 1 are scored once; each t scores
+    the 4g - 3 pairs touching them in four classes: (j, P) and (j, Q) for
+    j < P, whose d - r_j is fixed; (P, Q); (P, k) and (Q, k) for k > Q.
+    Ties go to the larger t.  A sweep is a function of the exponents alone,
+    so the sweeps (at most three) stop at the first that changes nothing.
 
-    The float search only proposes lambdas: for a positive margin the exact
-    conjugated triples go through `ford_figure_from_triples`, whose
-    `validate_figure` decides whether the figure is a "yes".
+    The float search only proposes lambdas.  The exact conjugated triples
+    are built for a positive margin only, and `validate_figure` (through
+    `ford_figure_from_triples`) decides whether the figure is a "yes".
     """
-    one = GaussianRational(1)
-    cs = [one - t.beta for t in pt.triples]
-    if any(c.is_zero() or abs(c.to_complex()) < 1e-12 for c in cs):
+    if any(abs((ONE - t.beta).to_complex()) < 1e-12 for t in pt.triples):
         return None
-    inv_c, abs_c = [one / c for c in cs], [abs(c.to_complex()) for c in cs]
-    fixed = [p for _, _, p in pt.fixed_points()]
-    pairs = [(j, k) for j in range(2 * pt.g) for k in range(j + 1, 2 * pt.g)]
-    touching = [[q for q in pairs if i in (q[0] // 2, q[1] // 2)]
-                for i in range(pt.g)]
-    apart = [[q for q in pairs if q not in near] for near in touching]
+    n = 2 * pt.g
+    fixed = [p.u.to_complex() for _, _, p in pt.fixed_points() if not p.is_infinity]
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    apart = [[q for q in pairs if i not in (q[0] // 2, q[1] // 2)]
+             for i in range(pt.g)]
     for m in (2, 3, -1, 5, -2, 7, -5, 11):
-        mc = complex(m)
-        if any((not p.is_infinity) and abs(p.value().to_complex() - mc) < 1e-6
-               for p in fixed):
+        if any(abs(z - m) < 1e-6 for z in fixed):
             continue
-        conj = [[ZERO if p.is_infinity else one / (p.value() - m)
-                 for p in (t.alpha, t.alpha_prime)] for t in pt.triples]
-        centres, rho = [], []
-        for (a, ap), t, ic, ac in zip(conj, pt.triples, inv_c, abs_c):
-            b = t.beta
-            centres += [((ap - b * a) * ic).to_complex(),
-                        ((a - b * ap) * ic).to_complex()]
-            rho.append(abs((b * (a - ap) * (a - ap)).to_complex()) ** 0.5 / ac)
+        centres, rho = _ford_proposals(pt, m)
         dist = [[abs(x - y) for y in centres] for x in centres]
         r = [x for q in rho for x in (q, q)]  # every t_i = 0
+        rp = [[q * s for s in _FORD_SCALE] for q in rho]  # r_P, r_Q by t
+        rq = [[q / s for s in _FORD_SCALE] for q in rho]
 
-        def place_discs(i: int, t_exp: int) -> None:
-            s = 2.0 ** t_exp  # sqrt(lambda) for lambda = 4^t
-            r[2 * i], r[2 * i + 1] = rho[i] * s, rho[i] / s
-
-        def margin(among, best=float("inf")) -> float:
-            return min([best] + [dist[j][k] - r[j] - r[k] for j, k in among])
+        def margin(among) -> float:
+            return min([math.inf] + [dist[j][k] - r[j] - r[k] for j, k in among])
 
         ts = [0] * pt.g
         for _ in range(3):  # coordinate-descent sweeps
             before = list(ts)
             for i in range(pt.g):
-                rest = margin(apart[i])
-                scores = []
-                for t in range(-8, 9):
-                    place_discs(i, t)
-                    scores.append((margin(touching[i], rest), t))
-                ts[i] = max(scores)[1]
-                place_discs(i, ts[i])
+                P, Q = 2 * i, 2 * i + 1
+                cols = [[dist[P][Q] - x - y for x, y in zip(rp[i], rq[i])]]
+                if P:  # x -> fl(x - r) is monotone: take the least d - r_j
+                    e = min(dist[j][P] - r[j] for j in range(P))
+                    f = min(dist[j][Q] - r[j] for j in range(P))
+                    cols += [[e - x for x in rp[i]], [f - y for y in rq[i]]]
+                for k in range(Q + 1, n):
+                    d, e, rk = dist[P][k], dist[Q][k], r[k]
+                    cols += [[d - x - rk for x in rp[i]],
+                             [e - y - rk for y in rq[i]]]
+                scores = list(map(min, [margin(apart[i])] * 17, *cols))
+                ts[i] = 8 - scores[::-1].index(max(scores))  # ties: larger t
+                r[P], r[Q] = rp[i][ts[i] + 8], rq[i][ts[i] + 8]
             if ts == before:
                 break
         if margin(pairs) <= 0:
             continue
-        triples = [KoebeTriple(ProjPoint.finite(a), ProjPoint.finite(ap),
-                               t.beta, t.approximate)
-                   for (a, ap), t in zip(conj, pt.triples)]
+        h = Moebius(0, 1, 1, -m)  # z -> 1/(z - m), exactly
+        triples = [KoebeTriple(h.apply(t.alpha), h.apply(t.alpha_prime), t.beta,
+                               t.approximate) for t in pt.triples]
         lambdas = [Fraction(4) ** t for t in ts]
         try:
             fig = ford_figure_from_triples(pt.place, triples, lambdas)

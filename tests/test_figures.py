@@ -23,7 +23,7 @@ from schottky import (
     word_disc,
 )
 from schottky import figures
-from schottky.exactnum import GaussianRational
+from schottky.exactnum import ZERO, GaussianRational
 from schottky.figures import (
     BudgetExceeded,
     DiscsNotDisjoint,
@@ -353,11 +353,87 @@ def test_ford_search_scores_the_pairs_apart_from_the_moving_discs(
         betas, fixed, witness):
     # Here the least gap is between two discs that the moving exponent
     # does not touch, so every score depends on the pairs apart from it.
+    _check_ford_witness(betas, fixed, witness)
+
+
+def _check_ford_witness(betas, fixed, witness):
     pt = schottky_point(Place.archimedean(), [Fraction(b) for b in betas],
                         [Fraction(x) for x in fixed])
     got = figures._arch_ford_search(pt)
     assert got.witness == witness
     assert _figure_data(got) == _figure_data(_ford_search_oracle(pt))
+
+
+# Sweeping coordinate i moves discs P = 2i and Q = 2i + 1; each t scores the
+# pairs touching them in four classes.  On each point below one class holds
+# the binding pair for some t, so the witness changes if that class is left
+# out; on the last, only the tie rule (the larger t wins) fixes the witness.
+@pytest.mark.parametrize("betas, fixed, witness", [
+    (["1/16", "1/8"], ["3/4"], "ford(4,1)"),  # (P, Q)
+    (["1/6", "1/7"], ["3/4"], "ford(4,1/4)"),  # (j, P) and (j, Q), j < P
+    (["1/16", "1/20", "1/15"], ["7/3", "-4/3", "-3"], "ford(1,4,1)"),  # (P, k)
+    (["1/9", "1/15"], ["9/4"], "ford(4,4)"),  # (Q, k), k > Q
+    (["1/360", "1/106", "1/192"], ["8/3", "-1/2", "1/3"], "ford(64,16,1)"),
+], ids=["pair-PQ", "below-P", "P-above", "Q-above", "tie"])
+def test_ford_search_scores_each_class_of_touching_pairs(betas, fixed, witness):
+    _check_ford_witness(betas, fixed, witness)
+
+
+# The proposals as the search computed them before it used integer
+# numerators: Gaussian-rational arithmetic, rounded part by part.
+def _ford_proposals_reference(pt: SchottkyPoint, m: int):
+    one = GaussianRational(1)
+    centres, rho = [], []
+    for t in pt.triples:
+        c = one - t.beta
+        ic, ac = one / c, abs(c.to_complex())
+        a, ap = [ZERO if p.is_infinity else one / (p.value() - m)
+                 for p in (t.alpha, t.alpha_prime)]
+        b = t.beta
+        centres += [((ap - b * a) * ic).to_complex(),
+                    ((a - b * ap) * ic).to_complex()]
+        rho.append(abs((b * (a - ap) * (a - ap)).to_complex()) ** 0.5 / ac)
+    return centres, rho
+
+
+def _parts(values):
+    """Real and imaginary parts, bit for bit (a float's imaginary part is 0)."""
+    return [x.hex() for z in values for x in (z.real, z.imag)]
+
+
+def _fine(lo, hi):
+    """Rationals in [lo, hi]: small denominators, or dyadic ones near 2^-60
+    (the scale of `GaussianRational.from_complex`)."""
+    return st.one_of(
+        st.fractions(min_value=lo, max_value=hi, max_denominator=12),
+        st.builds(lambda n, k: Fraction(n, 2 ** k),
+                  st.integers(lo * 2 ** 58, hi * 2 ** 58), st.integers(58, 64)))
+
+
+def _gaussian(lo, hi):
+    return st.builds(GaussianRational, _fine(lo, hi),
+                     st.one_of(st.just(Fraction(0)), _fine(lo, hi)))
+
+
+@given(st.integers(2, 3).flatmap(lambda g: st.tuples(
+    st.lists(_gaussian(-1, 1).filter(lambda b: 0 < b.norm2() < 1),
+             min_size=g, max_size=g),
+    st.lists(_gaussian(-9, 9), min_size=2 * g - 3, max_size=2 * g - 3))))
+@settings(max_examples=150, deadline=None)
+def test_ford_proposals_are_the_rounded_exact_values(data):
+    betas, fixed = data
+    try:
+        pt = schottky_point(Place.archimedean(), betas, fixed)
+    except ValueError:  # repeated fixed points
+        return
+    finite = [p.value().to_complex() for _, _, p in pt.fixed_points()
+              if not p.is_infinity]
+    for m in (2, 3, -1, 5, -2, 7, -5, 11):
+        if any(abs(z - m) < 1e-6 for z in finite):
+            continue  # the search skips this conjugation
+        got, want = figures._ford_proposals(pt, m), _ford_proposals_reference(pt, m)
+        assert _parts(got[0]) == _parts(want[0])  # centres
+        assert _parts(got[1]) == _parts(want[1])  # base radii
 
 
 def test_is_schottky_dumbbell(dumbbell):
