@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exactnum import ONE, GaussianRational, Rat, as_gaussian
 from .moebius import (
@@ -149,38 +149,40 @@ class ReducedWord:
         return "w(" + ",".join(map(str, self.letters)) + ")"
 
 
-def reduced_words(g: int, length: int) -> Iterator[ReducedWord]:
-    """All reduced words of exactly the given length."""
-    alphabet = [i for i in range(1, g + 1)] + [-i for i in range(1, g + 1)]
-
-    def rec(acc: list[int], n: int):
-        if n == 0:
-            yield ReducedWord(acc)
-            return
-        for x in alphabet:
-            if not acc or acc[-1] != -x:
-                acc.append(x)
-                yield from rec(acc, n - 1)
-                acc.pop()
-
-    yield from rec([], length)
-
-
-def reduced_words_upto(g: int, length: int) -> Iterator[ReducedWord]:
-    for n in range(1, length + 1):
-        yield from reduced_words(g, n)
-
-
 def conjugacy_classes_upto(g: int, length: int) -> list[ReducedWord]:
-    """One cyclically-reduced representative per conjugacy class, |w| <= length."""
-    seen: set[tuple[int, ...]] = set()
-    out: list[ReducedWord] = []
-    for w in reduced_words_upto(g, length):
-        rep = w.conjugacy_representative()
-        if rep.letters and rep.letters not in seen:
-            seen.add(rep.letters)
-            out.append(rep)
-    return out
+    """One cyclically-reduced representative per conjugacy class, |w| <= length.
+
+    The classes are the necklaces with no x x^-1, last-to-first included.
+    A depth-first walk over reduced prenecklaces in the order 1..g, -1..-g
+    (Ruskey and Sawada) prunes a letter ranking below the letter one
+    period back, and keeps a word of length n when n is a multiple of the
+    period and the last letter is not the inverse of the first.  Classes
+    come by length, then least rotation, as `conjugacy_representative`.
+    """
+    if length < 1:
+        return []
+    alphabet = list(range(1, g + 1)) + list(range(-1, -g - 1, -1))
+    by_length: list[list[ReducedWord]] = [[] for _ in range(length + 1)]
+    word: list[int] = []
+
+    def walk(period: int):
+        n = len(word)
+        if n % period == 0 and word[-1] != -word[0]:
+            by_length[n].append(ReducedWord(word).conjugacy_representative())
+        if n == length:
+            return
+        prev = word[n - period]
+        for x in alphabet[alphabet.index(prev):]:
+            if x != -word[-1]:
+                word.append(x)
+                walk(period if x == prev else n + 1)
+                word.pop()
+
+    for x in alphabet:
+        word.append(x)
+        walk(1)
+        word.pop()
+    return [w for ws in by_length for w in ws]
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,11 @@ return an approximately-known point (flagged as such).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .exactnum import GaussianRational
 from .moebius import (
     DegenerateConfiguration,
+    INF,
     KoebeTriple,
     Moebius,
     ProjPoint,
@@ -166,30 +165,20 @@ def _invert_triple(t: KoebeTriple) -> KoebeTriple:
 def _normalize_triples(place: Place,
                        triples: Sequence[KoebeTriple]) -> SchottkyPoint:
     t1 = triples[0]
-    ref = [t1.alpha, t1.alpha_prime]
-    if len(triples) >= 2:
-        ref.append(triples[1].alpha)
-    else:
-        # Rank 1 only needs (0, infinity); any third point will do.
-        ref.append(_some_other_point(ref))
+    ref = [t1.alpha, t1.alpha_prime] + [t.alpha for t in triples[1:2]]
     for a in range(len(ref)):
         for b in range(a + 1, len(ref)):
             if ref[a] == ref[b]:
                 raise DegenerateFixedPoints(
                     "reference fixed points are not distinct")
+    if len(triples) == 1:
+        # Rank 1 only needs (0, infinity), and conjugation keeps beta.
+        return SchottkyPoint(place, (
+            replace(t1, alpha=ProjPoint.finite(0), alpha_prime=INF),))
     eps = moebius_to_zero_inf_one(*ref)
     out = [KoebeTriple(eps.apply(t.alpha), eps.apply(t.alpha_prime),
                        t.beta, t.approximate) for t in triples]
     return SchottkyPoint(place, tuple(out))
-
-
-def _some_other_point(taken):
-    k = 0
-    while True:
-        cand = ProjPoint.finite(GaussianRational(Fraction(k)))
-        if not any(cand == t for t in taken):
-            return cand
-        k += 1
 
 
 def normalize_basis(place: Place, basis: Sequence[Moebius],

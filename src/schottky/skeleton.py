@@ -5,7 +5,8 @@ eta_{a,r}, which live in the tree of discs of the projective line.  Their
 convex hull is a finite metric tree with exact rational edge lengths
 (in units eps*ln p); gluing the leaf for gamma_i with the leaf for
 gamma_i^{-1} produces the canonical Betti-g metric graph of the quotient
-curve.  Everything here is exact -- floats appear only in to_float().
+curve, whose translation lengths are read off the tree.  Everything
+here is exact -- floats appear only in to_float().
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .exactnum import GaussianRational
 from .moebius import Disc, NotLoxodromic, ball_inside, disc_shape
@@ -26,7 +27,6 @@ from .figures import (
     conjugacy_classes_upto,
     evaluate_word,
     is_schottky,
-    normalized_figure,
 )
 
 
@@ -180,6 +180,28 @@ class MetricTree:
         for n in self.path_edges(a, b):
             total = total + self.nodes[n].edge_length
         return total
+
+    def translation_lengths(self, words: Iterable[ReducedWord]
+                            ) -> list[MetricLength]:
+        """The translation length of each word, read off the tree.
+
+        The axis of a cyclically reduced w = x_1...x_n crosses one
+        translate of the hull per letter, from the leaf of x_k^-1 to the
+        leaf of x_{k+1}: l(w) = sum_k d_T(leaf(x_k, -), leaf(x_{k+1}, +)),
+        indices mod n, with leaf(x, s) the label (|x|, s*sign x).  Other
+        words are cyclically reduced first, as l is a class function.
+        One (2g)^2 table of leaf distances serves every word; the matrix
+        `translation_length` is the independent check.
+        """
+        leaf = {i * s: (i, s) for i, s in self.leaf_of}
+        table = {(x, y): self.distance(leaf[-x], leaf[y]).q
+                 for x in leaf for y in leaf}
+        out = []
+        for w in words:
+            ls = w.cyclic_reduce().letters
+            q = sum(table[x, y] for x, y in zip(ls, ls[1:] + ls[:1]))
+            out.append(MetricLength(q, self.place.p, self.place.eps))
+        return out
 
 
 def build_tree(fig: SchottkyFigure) -> MetricTree:
@@ -376,7 +398,8 @@ def translation_length(pt: SchottkyPoint, w: ReducedWord) -> MetricLength:
     """Displacement of the word's matrix on the tree: -log of |multiplier|.
 
     Non-archimedean and exact: for a loxodromic matrix |beta| = |det|/|tr|^2,
-    so q is a difference of valuations.
+    so q is a difference of valuations.  Works for any p-adic point and
+    nonempty word, and is the check of `MetricTree.translation_lengths`.
     """
     place = pt.place
     _require_padic(place)
@@ -396,18 +419,13 @@ def cv_datum(pt: SchottkyPoint, max_len: int):
     """Marked metric graph plus translation lengths of short conjugacy classes.
 
     Returns (MetricGraph, [(representative word, MetricLength), ...]) with
-    one cyclically-reduced lexicographic-minimal representative per
-    conjugacy class of length <= max_len.
+    one cyclically-reduced representative per conjugacy class of length
+    <= max_len (see `conjugacy_classes_upto`).  Both are read off the tree
+    of the certified figure, so words are in the basis the search found.
     """
     res = is_schottky(pt)
     if res.status != "yes":
         raise ValueError(f"point is not certified Schottky: {res.status}")
-    base = pt if res.tau is None or not len(res.tau) else None
-    if base is None:
-        # Measure lengths at the certified basis found by the search.
-        base = res.figure.point
-    fig = res.figure if res.figure is not None else normalized_figure(base)
-    graph = glue_skeleton(build_tree(fig))
-    lengths = [(w, translation_length(base, w))
-               for w in conjugacy_classes_upto(pt.g, max_len)]
-    return graph, lengths
+    tree = build_tree(res.figure)
+    words = conjugacy_classes_upto(pt.g, max_len)
+    return glue_skeleton(tree), list(zip(words, tree.translation_lengths(words)))

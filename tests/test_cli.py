@@ -46,6 +46,14 @@ ARCH_CROWDED = json.dumps({
 })
 
 
+# The crowded point of the CI step: no certificate either way.
+ARCH_CI_CROWDED = json.dumps({
+    "place": {"kind": "arch"},
+    "g": 2,
+    "koebe": [{"beta": "1/4"}, {"beta": "1/5", "alpha_prime": "5/2"}],
+})
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -172,6 +180,19 @@ def test_skeleton_dumbbell(capsys):
     assert by_word[(1,)] == "2" and by_word[(1, 2)] == "6"
 
 
+@pytest.mark.parametrize("cmd", ["limitset", "skeleton"])
+def test_limitset_and_skeleton_stop_at_a_no(capsys, cmd):
+    code, rep = run(capsys, cmd, "--json", REJECTED)
+    assert code == EXIT_NO
+    assert rep == {"command": cmd, "is_in_SB": "no"}
+
+
+def test_limitset_stops_at_an_unknown(capsys):
+    code, rep = run(capsys, "limitset", "--json", ARCH_CI_CROWDED)
+    assert code == EXIT_UNKNOWN
+    assert rep == {"command": "limitset", "is_in_SB": "unknown"}
+
+
 def test_skeleton_arch_unsupported(capsys):
     code, rep = run(capsys, "skeleton", "--json", ARCH_G2)
     assert code == EXIT_UNSUPPORTED
@@ -212,6 +233,21 @@ def test_hybrid(capsys):
     assert [row["eps"] for row in rep["rows"]] == ["1", "1/10"]
     for row in rep["rows"]:
         assert row["abs_Y"] == ["1/2", "1/3"]
+
+
+def test_hybrid_factorizes_nothing(capsys, monkeypatch):
+    # The trivial fiber compares Fractions; a large prime in r used to
+    # hang in trial division.
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(schottky.exactnum, "factorize", refuse)
+    monkeypatch.setattr(schottky.places, "factorize", refuse)
+    code, rep = run(capsys, "hybrid", "--json",
+                    json.dumps({"r": ["1/10000000000000061"]}))
+    assert code == EXIT_YES
+    assert rep["trivial_fiber"] == {"certified": True,
+                                    "inequalities_checked": 0}
 
 
 def test_hybrid_malformed(capsys):

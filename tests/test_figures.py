@@ -36,7 +36,6 @@ from schottky.figures import (
     conjugacy_classes_upto,
     ford_figure_from_triples,
     fundamental_domain_report,
-    reduced_words_upto,
     spherical_radius,
 )
 from schottky.moebius import (
@@ -90,8 +89,47 @@ def test_word_validation():
     assert ReducedWord.reduce((1, 2, -2, -1)).letters == ()
 
 
+def _reduced_words_upto(g: int, length: int):
+    """All reduced words of length 1..length, in the alphabet order
+    1..g, -1..-g."""
+    alphabet = [i for i in range(1, g + 1)] + [-i for i in range(1, g + 1)]
+
+    def rec(acc: list[int], n: int):
+        if n == 0:
+            yield ReducedWord(acc)
+            return
+        for x in alphabet:
+            if not acc or acc[-1] != -x:
+                acc.append(x)
+                yield from rec(acc, n - 1)
+                acc.pop()
+
+    for n in range(1, length + 1):
+        yield from rec([], n)
+
+
+def _classes_reference(g: int, length: int) -> list[ReducedWord]:
+    """One cyclically-reduced representative per conjugacy class, |w| <= length."""
+    seen: set[tuple[int, ...]] = set()
+    out: list[ReducedWord] = []
+    for w in _reduced_words_upto(g, length):
+        rep = w.conjugacy_representative()
+        if rep.letters and rep.letters not in seen:
+            seen.add(rep.letters)
+            out.append(rep)
+    return out
+
+
+@pytest.mark.parametrize("g, depth", [(1, 8), (2, 8), (3, 6), (4, 5)])
+def test_necklace_walk_matches_the_rotation_scan(g, depth):
+    # The old enumeration, kept above as an independent oracle: every
+    # reduced word, one per rotation class, in order of first appearance.
+    for n in range(depth + 1):
+        assert conjugacy_classes_upto(g, n) == _classes_reference(g, n)
+
+
 def test_word_counts():
-    assert sum(1 for _ in reduced_words_upto(2, 3)) == 4 + 12 + 36
+    assert sum(1 for _ in _reduced_words_upto(2, 3)) == 4 + 12 + 36
     # Conjugacy classes of length <= 2 in F_2: 4 primitive classes of
     # length 1 and 4 of length 2 (12 words, minus cyclic rotations and
     # the cyclically-unreduced ones).

@@ -135,6 +135,15 @@ def test_normalize_basis_roundtrip(dumbbell):
     assert normalize_basis(P2, conj).same_point(dumbbell)
 
 
+def test_rank_one_normalization():
+    pt = schottky_point(P2, [Fraction(4)])
+    assert nielsen_apply("s3", pt).same_point(pt)
+    # A fixed point at 1 leaves the normal form (0, infinity, beta).
+    from schottky.moebius import KoebeTriple, koebe_to_matrix
+    t = KoebeTriple(ProjPoint.finite(1), ProjPoint.finite(3), Fraction(4))
+    assert normalize_basis(P2, [koebe_to_matrix(t)]).same_point(pt)
+
+
 def test_degenerate_normalization():
     pt = schottky_point(P2, [Fraction(4)])
     with pytest.raises(DegenerateFixedPoints):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import dumbbell_point, rank1_point, seeded, random_sb_point
 from schottky import (
@@ -11,11 +12,13 @@ from schottky import (
     build_tree,
     cv_datum,
     glue_skeleton,
+    is_schottky,
     normalized_figure,
     schottky_point,
     translation_length,
 )
 from schottky.exactnum import GaussianRational
+from schottky.figures import conjugacy_classes_upto
 from schottky.moebius import Disc, NotLoxodromic
 from schottky.places import ExactValue
 from schottky.skeleton import (
@@ -63,6 +66,9 @@ def test_dumbbell_tree():
     assert tree.distance((1, 1), (1, -1)).q == 2
     assert tree.distance((2, 1), (2, -1)).q == 2
     assert tree.distance((1, 1), (2, 1)).q == 3
+    # A conjugate of w(1,2) that is not cyclically reduced.
+    words = [ReducedWord((1, 2)), ReducedWord((-2, 1, 2, 2))]
+    assert [l.q for l in tree.translation_lengths(words)] == [6, 6]
 
 
 def test_dumbbell_glued_graph():
@@ -139,6 +145,18 @@ def test_cv_datum(dumbbell):
     assert all(q > 0 for q in by_word.values())
 
 
+def test_cv_datum_measures_in_the_certified_basis():
+    # Outside the good-basis locus; the search certifies it after s4'.
+    pt = schottky_point(Place.padic(3), [Fraction(-3, 7), Fraction(-27)],
+                        [Fraction(-6)])
+    res = is_schottky(pt)
+    assert res.status == "yes" and str(res.tau) == "s4'"
+    graph, lengths = cv_datum(pt, 3)
+    assert graph.betti == 2
+    assert [l for _, l in lengths] == [
+        translation_length(res.figure.point, w) for w, _ in lengths]
+
+
 def test_random_tree_distances_match_lengths():
     rng = seeded(42)
     for p in (2, 3, 5):
@@ -147,3 +165,15 @@ def test_random_tree_distances_match_lengths():
         for i in (1, 2):
             assert tree.distance((i, 1), (i, -1)).q == \
                 translation_length(pt, ReducedWord((i,))).q
+
+
+@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.sampled_from([2, 3, 5]),
+       st.sampled_from([Fraction(1), Fraction(2, 3)]))
+@settings(max_examples=16, deadline=None)
+def test_tree_lengths_equal_matrix_lengths(seed, g, p, eps):
+    # Lengths read off the tree against lengths of the word matrices.
+    pt = random_sb_point(seeded(seed), Place.padic(p, eps), g)
+    words = conjugacy_classes_upto(g, 5)
+    tree = build_tree(normalized_figure(pt))
+    assert tree.translation_lengths(words) == [
+        translation_length(pt, w) for w in words]
