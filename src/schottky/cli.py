@@ -105,7 +105,7 @@ def cmd_verify(args) -> int:
     if status == "no":
         report["violated"] = _violation_json(sb.violated)
     elif status == "unknown":
-        member = is_schottky(pt, nielsen_depth=args.nielsen_depth)
+        member = is_schottky(pt, nielsen_depth=args.nielsen_depth, root=sb)
         status = report["is_schottky"] = member.status
         figure = member.figure
         if status == "yes":

@@ -12,6 +12,7 @@ one-sided search over twisted Ford discs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
@@ -87,13 +88,11 @@ class ReducedWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[int] = ()):
-        letters = tuple(int(x) for x in letters)
-        for x in letters:
-            if x == 0:
-                raise ValueError("letters are nonzero signed generator indices")
-        for a, b in zip(letters, letters[1:]):
-            if a == -b:
-                raise ValueError(f"word {letters} is not reduced")
+        letters = tuple(map(int, letters))
+        if 0 in letters:
+            raise ValueError("letters are nonzero signed generator indices")
+        if any(map(operator.eq, letters, map(operator.neg, letters[1:]))):
+            raise ValueError(f"word {letters} is not reduced")
         object.__setattr__(self, "letters", letters)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -139,14 +138,31 @@ class ReducedWord:
 
     def conjugacy_representative(self) -> "ReducedWord":
         """Lexicographically minimal rotation of the cyclic reduction."""
-        w = self.cyclic_reduce().letters
-        if not w:
-            return ReducedWord(())
-        rotations = [w[k:] + w[:k] for k in range(len(w))]
-        return ReducedWord(min(rotations))
+        return ReducedWord(_least_rotation(self.cyclic_reduce().letters))
 
     def __repr__(self):
         return "w(" + ",".join(map(str, self.letters)) + ")"
+
+
+def _least_rotation(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of w, in linear time (Booth's algorithm): f is
+    the failure function of the least rotation found so far, w[k:] + w[:k],
+    over the doubled word."""
+    n, k = len(w), 0
+    f = [-1] * (2 * n)
+    for j in range(1, 2 * n):
+        x, i = w[j % n], f[j - k - 1]
+        while i != -1 and x != w[(k + i + 1) % n]:
+            if x < w[(k + i + 1) % n]:
+                k = j - i - 1
+            i = f[i]
+        if x != w[(k + i + 1) % n]:  # here i == -1
+            if x < w[k % n]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return w[k:] + w[:k]
 
 
 def conjugacy_classes_upto(g: int, length: int) -> list[ReducedWord]:
@@ -158,30 +174,28 @@ def conjugacy_classes_upto(g: int, length: int) -> list[ReducedWord]:
     period back, and keeps a word of length n when n is a multiple of the
     period and the last letter is not the inverse of the first.  Classes
     come by length, then least rotation, as `conjugacy_representative`.
+    Such a word is its first period repeated, and so is its least rotation.
+    The walk keeps its own stack, so the length is not bounded by Python's
+    recursion limit.
     """
-    if length < 1:
-        return []
     alphabet = list(range(1, g + 1)) + list(range(-1, -g - 1, -1))
     by_length: list[list[ReducedWord]] = [[] for _ in range(length + 1)]
     word: list[int] = []
-
-    def walk(period: int):
-        n = len(word)
-        if n % period == 0 and word[-1] != -word[0]:
-            by_length[n].append(ReducedWord(word).conjugacy_representative())
-        if n == length:
-            return
-        prev = word[n - period]
-        for x in alphabet[alphabet.index(prev):]:
-            if x != -word[-1]:
-                word.append(x)
-                walk(period if x == prev else n + 1)
-                word.pop()
-
-    for x in alphabet:
+    # (letter, length of the word it ends, period of that word), pushed in
+    # reverse so that they pop in alphabet order.
+    stack = [(x, 1, 1) for x in reversed(alphabet)] if length > 0 else []
+    while stack:
+        x, n, period = stack.pop()
+        del word[n - 1:]
         word.append(x)
-        walk(1)
-        word.pop()
+        if n % period == 0 and x != -word[0]:
+            by_length[n].append(ReducedWord(
+                _least_rotation(tuple(word[:period])) * (n // period)))
+        if n < length:
+            prev = word[n - period]
+            stack.extend((y, n + 1, period if y == prev else n + 1)
+                         for y in reversed(alphabet[alphabet.index(prev):])
+                         if y != -x)
     return [w for ws in by_length for w in ws]
 
 
@@ -653,11 +667,13 @@ class SchottkyResult:
     figure: Optional[SchottkyFigure] = None
 
 
-def is_schottky(pt: SchottkyPoint, nielsen_depth: int = 2) -> SchottkyResult:
+def is_schottky(pt: SchottkyPoint, nielsen_depth: int = 2,
+                root: Optional[SBResult] = None) -> SchottkyResult:
     """Search for a basis change putting the point into the good locus.
 
     Breadth-first over words of up to ``nielsen_depth`` letters, skipping
     points seen before; the first point `is_in_SB` certifies is the answer.
+    ``root`` is `is_in_SB(pt)` when the caller already has it.
     Only exact points are built (`outer.exact_step`): every image of an
     approximate point is approximate, and none would be tested.  At a
     non-archimedean place a letter that permutes and inverts generators
@@ -676,7 +692,7 @@ def is_schottky(pt: SchottkyPoint, nielsen_depth: int = 2) -> SchottkyResult:
         word, cur, known_no = queue[idx]
         idx += 1
         if not (known_no or cur.approximate):
-            res = is_in_SB(cur)
+            res = root if root is not None and not word else is_in_SB(cur)
             if res.status == "yes":
                 return SchottkyResult("yes", tau=word, figure=res.figure)
         if len(word) >= nielsen_depth:

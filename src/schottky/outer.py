@@ -192,21 +192,32 @@ def normalize_basis(place: Place, basis: Sequence[Moebius],
     return _normalize_triples(place, triples)
 
 
-def nielsen_apply(s: str, pt: SchottkyPoint, prec: int = 64) -> SchottkyPoint:
+def _products(s: str, pt: SchottkyPoint) -> dict[int, Moebius]:
+    """The matrix of each generator's image under s that is a product."""
+    return {i: evaluate_word(pt, w)
+            for i, w in letter_images(s, pt.g).items() if len(w) > 1}
+
+
+def nielsen_apply(s: str, pt: SchottkyPoint, prec: int = 64,
+                  products: Optional[dict[int, Moebius]] = None
+                  ) -> SchottkyPoint:
     """One elementary letter applied to the marking, then renormalized.
 
     Permutation and inversion letters act exactly on the stored
     coordinates; the left-multiplication letters need the fixed points
     of a product matrix and may yield an approximate point.  A triple
     computed from a word is approximate when any triple the word reads is.
+    ``products`` holds those matrices when the caller has evaluated them.
     """
+    if products is None:
+        products = _products(s, pt)
     triples = []
-    for w in letter_images(s, pt.g).values():
+    for i, w in letter_images(s, pt.g).items():
         if len(w) == 1:
             t = pt.triples[abs(w.letters[0]) - 1]
             triples.append(t if w.letters[0] > 0 else _invert_triple(t))
         else:
-            t = matrix_to_koebe(pt.place, evaluate_word(pt, w), prec=prec)
+            t = matrix_to_koebe(pt.place, products[i], prec=prec)
             fuzzy = any(pt.triples[abs(x) - 1].approximate for x in w)
             triples.append(replace(t, approximate=True) if fuzzy else t)
     return _normalize_triples(pt.place, triples)
@@ -217,12 +228,13 @@ def exact_step(s: str, pt: SchottkyPoint) -> Optional[SchottkyPoint]:
     the letter raises ValueError).  Exactness is decided first, by
     `split_root` on each product matrix, before any lift or point is built.
     """
-    if pt.approximate or any(
-            len(w) > 1 and split_root(pt.place, evaluate_word(pt, w)) is None
-            for w in letter_images(s, pt.g).values()):
+    if pt.approximate:
+        return None
+    products = _products(s, pt)
+    if any(split_root(pt.place, m) is None for m in products.values()):
         return None
     try:
-        return nielsen_apply(s, pt)
+        return nielsen_apply(s, pt, products=products)
     except ValueError:
         return None
 

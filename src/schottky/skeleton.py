@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exactnum import GaussianRational
-from .moebius import Disc, NotLoxodromic, ball_inside, disc_shape
-from .places import AbsValue, ExactValue, Place, abs_value
+from .exactnum import GaussianRational, padic_valuation
+from .moebius import _NOT_REAL, Disc, NotLoxodromic, _dist, disc_shape
+from .places import AbsValue, ExactValue, ImaginaryAtNonArch, Place, abs_value
 from .figures import (
     ReducedWord,
     SchottkyFigure,
@@ -116,23 +117,8 @@ def shilov_join(place: Place, d1: Disc, d2: Disc) -> Disc:
     _require_padic(place)
     if d1.chart != "std" or d2.chart != "std":
         raise ChartMismatch("shilov_join expects standard-chart discs")
-    return Disc(d1.center,
-                _join_radius(place, d1.center, d1.radius, d2.center, d2.radius))
-
-
-def _join_radius(place: Place, a: GaussianRational, r: AbsValue,
-                 b: GaussianRational, s: AbsValue) -> AbsValue:
-    return max(r, s, abs_value(place, a - b))
-
-
-def _radius_exponent(place: Place, r: AbsValue) -> Fraction:
-    if not isinstance(r, ExactValue):
-        raise ArchimedeanUnsupported("exact radii required")
-    try:
-        return r.log_exponent(place.p, place.eps)
-    except ValueError as e:
-        raise ValueError(
-            f"disc radius {r!r} is outside the value group p^Q: {e}") from e
+    return Disc(d1.center, max(d1.radius, d2.radius,
+                               abs_value(place, d1.center - d2.center)))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +144,7 @@ class MetricTree:
     nodes: dict[int, TreeNode]
     root: int
     leaf_of: dict[tuple[int, int], int]
+    unit: int  # every node's q lies in (1/unit)Z
 
     def edges(self) -> list[tuple[int, int, MetricLength]]:
         return [(n.parent, n.id, n.edge_length)
@@ -190,17 +177,18 @@ class MetricTree:
         leaf of x_{k+1}: l(w) = sum_k d_T(leaf(x_k, -), leaf(x_{k+1}, +)),
         indices mod n, with leaf(x, s) the label (|x|, s*sign x).  Other
         words are cyclically reduced first, as l is a class function.
-        One (2g)^2 table of leaf distances serves every word; the matrix
-        `translation_length` is the independent check.
+        One (2g)^2 table of leaf distances, integers in units of 1/unit,
+        serves every word; the matrix `translation_length` is the check.
         """
         leaf = {i * s: (i, s) for i, s in self.leaf_of}
-        table = {(x, y): self.distance(leaf[-x], leaf[y]).q
+        table = {(x, y): int(self.distance(leaf[-x], leaf[y]).q * self.unit)
                  for x in leaf for y in leaf}
         out = []
         for w in words:
             ls = w.cyclic_reduce().letters
-            q = sum(table[x, y] for x, y in zip(ls, ls[1:] + ls[:1]))
-            out.append(MetricLength(q, self.place.p, self.place.eps))
+            k = sum(table[x, y] for x, y in zip(ls, ls[1:] + ls[:1]))
+            out.append(MetricLength(Fraction(k, self.unit), self.place.p,
+                                    self.place.eps))
         return out
 
 
@@ -210,57 +198,68 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
     Nodes are discs eta_{a,r} ordered by containment; the parent of a
     node is its least strict container, and an edge measures the drop
     in log-radius.  Labels (i, sign) mark where B+(gamma_i^sign) sits.
+
+    It runs on integer depths: p^(-q eps) has depth q U, with the unit U
+    clearing the denominators of the leaves' q, and |a - b| has depth
+    v_p(a - b) U.  A disc of depth k about a holds b iff |a - b| has depth
+    >= k, and a join is the least of three depths.
     """
     place = fig.place
     _require_padic(place)
+    p, eps = place.p, place.eps
 
-    # Leaf data plus all pairwise joins; joins of joins add nothing new.
-    points: list[tuple[GaussianRational, AbsValue, list[tuple[int, int]]]] = []
-
-    def insert(c: GaussianRational, r: AbsValue, label=None):
-        for pc, pr, labels in points:
-            if pr == r and ball_inside(place, c, r, pc, pr):
-                if label is not None:
-                    labels.append(label)
-                return
-        points.append((c, r, [] if label is None else [label]))
-
-    leaf_data = []
-    for i, eps, d in fig.all_discs():
+    labels, centres, qs = [], [], []
+    for i, sign, d in fig.all_discs():
         # A codisc P^1 - B(m, s) has the same boundary point eta_{m,s}
         # as the closed ball B[m, s]: no chart change is needed.
         _kind, c, r = disc_shape(place, d)
-        leaf_data.append((c, r))
-        insert(c, r, (i, eps))
-    for (c1, r1), (c2, r2) in itertools.combinations(leaf_data, 2):
-        insert(c1, _join_radius(place, c1, r1, c2, r2))
+        if not isinstance(r, ExactValue):
+            raise ArchimedeanUnsupported("exact radii required")
+        try:
+            qs.append(r.log_exponent(p, eps))
+        except ValueError as e:
+            raise ValueError(
+                f"disc radius {r!r} is outside the value group p^Q: {e}") from e
+        labels.append((i, sign))
+        centres.append(c)
+    unit = math.lcm(*(q.denominator for q in qs))
+    depth = [int(q * unit) for q in qs]
 
+    def of(x: int):  # the depth of |x|
+        return padic_valuation(x, p) * unit if x else math.inf
+
+    apart = {(a, b): _dist(of, operator.sub, ca, cb)
+             for (a, ca), (b, cb) in itertools.product(enumerate(centres), repeat=2)}
+
+    # Leaves plus all pairwise joins; joins of joins add nothing new.
+    points: list[list] = []  # [centre index, depth, labels]
+    for a, k, label in [(a, depth[a], lab) for a, lab in enumerate(labels)] + [
+            (a, min(depth[a], depth[b], apart[a, b]), None)
+            for a, b in itertools.combinations(range(len(centres)), 2)]:
+        home = next((pt for pt in points if pt[1] == k and apart[a, pt[0]] >= k),
+                    None)
+        if home is None:
+            points.append(home := [a, k, []])
+        home[2] += [label] if label else []
+
+    points.sort(key=lambda pt: pt[1])  # radius descending, stable
     nodes: dict[int, TreeNode] = {}
-    order = sorted(range(len(points)),
-                   key=lambda k: _radius_exponent(place, points[k][1]))
-    for nid, k in enumerate(order):
-        c, r, labels = points[k]
-        nodes[nid] = TreeNode(nid, c, r, _radius_exponent(place, r),
-                              labels=list(labels))
-
-    # Parent = the smallest node strictly containing this one.
-    for n in nodes.values():
-        best = None
-        for m in nodes.values():
-            if m.radius > n.radius and ball_inside(
-                    place, n.center, n.radius, m.center, m.radius):
-                if best is None or m.radius < best.radius:
-                    best = m
-        if best is not None:
-            n.parent = best.id
-            n.edge_length = MetricLength(n.q - best.q, place.p, place.eps)
-            best.children.append(n.id)
+    for nid, (a, k, plabels) in enumerate(points):
+        n = nodes[nid] = TreeNode(nid, centres[a], ExactValue.p_power(
+            p, -Fraction(k, unit) * eps), Fraction(k, unit), labels=plabels)
+        # Parent = the smallest node strictly containing this one.
+        holders = [m for m in range(nid) if points[m][1] < k
+                   and apart[a, points[m][0]] >= points[m][1]]
+        if holders:
+            n.parent = max(holders, key=lambda m: points[m][1])
+            n.edge_length = MetricLength(n.q - nodes[n.parent].q, p, eps)
+            nodes[n.parent].children.append(nid)
 
     roots = [n.id for n in nodes.values() if n.parent is None]
     if len(roots) != 1:
         raise ValueError("boundary points do not span a connected tree")
     leaf_of = {lab: n.id for n in nodes.values() for lab in n.labels}
-    return MetricTree(place, nodes, roots[0], leaf_of)
+    return MetricTree(place, nodes, roots[0], leaf_of, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +396,23 @@ def glue_skeleton(tree: MetricTree) -> MetricGraph:
 def translation_length(pt: SchottkyPoint, w: ReducedWord) -> MetricLength:
     """Displacement of the word's matrix on the tree: -log of |multiplier|.
 
-    Non-archimedean and exact: for a loxodromic matrix |beta| = |det|/|tr|^2,
-    so q is a difference of valuations.  Works for any p-adic point and
-    nonempty word, and is the check of `MetricTree.translation_lengths`.
+    Exact: with t = s tr and dn = s^2 det the integer numerators of the
+    word's matrix, it is loxodromic iff 2 v_p(t) < v_p(dn), and then
+    |beta| = |dn| / |t|^2 = p^(-q eps) with q = v_p(dn) - 2 v_p(t).  Works
+    for any p-adic point and nonempty word; the check of the tree lengths.
     """
     place = pt.place
     _require_padic(place)
     if not len(w):
         raise ValueError("the empty word has no translation length")
     m = evaluate_word(pt, w)
-    absdet = abs_value(place, m.det())
-    abstr = abs_value(place, m.tr())
-    if not abstr * abstr > absdet:
+    (t, ti), (dn, di) = m._t(), m._dn
+    if ti or di:
+        raise ImaginaryAtNonArch(_NOT_REAL)
+    q = padic_valuation(dn, place.p) - 2 * padic_valuation(t, place.p) if t else 0
+    if q <= 0:
         raise NotLoxodromic(f"word {w!r} evaluates to a non-loxodromic matrix")
-    absbeta = absdet / (abstr * abstr)
-    q = absbeta.log_exponent(place.p, place.eps)
-    return MetricLength(q, place.p, place.eps)
+    return MetricLength(Fraction(q), place.p, place.eps)
 
 
 def cv_datum(pt: SchottkyPoint, max_len: int):

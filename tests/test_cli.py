@@ -83,6 +83,24 @@ def test_verify_unknown_arch(capsys):
     assert rep["is_schottky"] == "unknown"
 
 
+def test_verify_tests_the_root_once(capsys, monkeypatch):
+    # The Nielsen search takes the root's good-basis result from verify,
+    # so an archimedean "unknown" runs the root's Ford search once.
+    from schottky import cli, figures, serialize
+    root = serialize.point_from_json(json.loads(ARCH_CI_CROWDED)).canonical_key()
+    tested = []
+
+    def counting(pt, real=figures.is_in_SB):
+        tested.append(pt.canonical_key())
+        return real(pt)
+
+    monkeypatch.setattr(cli, "is_in_SB", counting)
+    monkeypatch.setattr(figures, "is_in_SB", counting)
+    code, rep = run(capsys, "verify", "--json", ARCH_CI_CROWDED)
+    assert code == EXIT_UNKNOWN and rep["is_schottky"] == "unknown"
+    assert tested.count(root) == 1 and len(tested) > 1
+
+
 def test_malformed_inputs(capsys):
     code, rep = run(capsys, "verify", "--json", "{not json")
     assert code == EXIT_MALFORMED and "line 1" in rep["error"]

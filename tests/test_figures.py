@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
@@ -126,6 +127,24 @@ def test_necklace_walk_matches_the_rotation_scan(g, depth):
     # reduced word, one per rotation class, in order of first appearance.
     for n in range(depth + 1):
         assert conjugacy_classes_upto(g, n) == _classes_reference(g, n)
+
+
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=14))
+def test_least_rotation_is_the_minimal_rotation(letters):
+    w = tuple(letters)
+    assert figures._least_rotation(w) == min(
+        (w[k:] + w[:k] for k in range(len(w))), default=())
+
+
+def test_long_classes_are_enumerated_quickly():
+    # Rank 1 has two classes per length.  A recursive walk hit Python's
+    # recursion limit near length 990, and a quadratic rotation scan took
+    # most of 18 s at length 950.
+    start = time.perf_counter()
+    classes = conjugacy_classes_upto(1, 1200)
+    assert time.perf_counter() - start < 1
+    assert len(classes) == 2400
+    assert classes[-2:] == [ReducedWord((1,) * 1200), ReducedWord((-1,) * 1200)]
 
 
 def test_word_counts():

@@ -136,8 +136,8 @@ def test_signed_permutations_keep_the_padic_sb_status(g):
 def _recording(monkeypatch):
     built = []
 
-    def record(s, pt, prec=64):
-        out = nielsen_apply(s, pt, prec)
+    def record(s, pt, prec=64, **kwargs):
+        out = nielsen_apply(s, pt, prec, **kwargs)
         built.append(out)
         return out
     monkeypatch.setattr(outer, "nielsen_apply", record)
@@ -183,3 +183,20 @@ def test_nielsen_apply_keeps_the_approximate_flag():
     assert [t.approximate for t in moved.triples] == [False, True]
     assert moved.triples[1].beta == Fraction(81, 49)
     assert not nielsen_apply("s4", pt).approximate
+
+
+def test_exact_step_evaluates_each_product_once(monkeypatch):
+    # The point splits over Q, so the step builds the image; the product
+    # matrix tested by `split_root` is the one its fixed points come from.
+    pt = schottky_point(Place.padic(2), [4, 4], [-6])
+    calls = []
+
+    def counting(fig_or_pt, w, real=outer.evaluate_word):
+        calls.append(w)
+        return real(fig_or_pt, w)
+
+    monkeypatch.setattr(outer, "evaluate_word", counting)
+    moved = exact_step("s4", pt)
+    assert moved is not None and len(calls) == 1
+    monkeypatch.undo()
+    assert moved.same_point(nielsen_apply("s4", pt))

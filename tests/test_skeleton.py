@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dumbbell_point, rank1_point, seeded, random_sb_point
+import itertools
+
+from conftest import (
+    dumbbell_point,
+    random_point,
+    random_reduced_word,
+    random_sb_point,
+    rank1_point,
+    seeded,
+)
 from schottky import (
     MetricGraph,
     MetricLength,
@@ -18,12 +27,13 @@ from schottky import (
     translation_length,
 )
 from schottky.exactnum import GaussianRational
-from schottky.figures import conjugacy_classes_upto
-from schottky.moebius import Disc, NotLoxodromic
-from schottky.places import ExactValue
+from schottky.figures import conjugacy_classes_upto, evaluate_word
+from schottky.moebius import Disc, NotLoxodromic, ball_inside, disc_shape
+from schottky.places import ExactValue, abs_value
 from schottky.skeleton import (
     ArchimedeanUnsupported,
     ChartMismatch,
+    TreeNode,
     shilov_join,
     zero_length,
 )
@@ -177,3 +187,141 @@ def test_tree_lengths_equal_matrix_lengths(seed, g, p, eps):
     tree = build_tree(normalized_figure(pt))
     assert tree.translation_lengths(words) == [
         translation_length(pt, w) for w in words]
+
+
+# -- the integer build against the build on absolute values ------------------
+
+
+def _build_tree_reference(fig):
+    """The convex-hull tree built by comparing `ExactValue` radii, as
+    (nodes, root, leaf_of): the build before integer depths, kept as the
+    oracle of `build_tree`."""
+    place = fig.place
+    points = []
+
+    def insert(c, r, label=None):
+        for pc, pr, labels in points:
+            if pr == r and ball_inside(place, c, r, pc, pr):
+                if label is not None:
+                    labels.append(label)
+                return
+        points.append((c, r, [] if label is None else [label]))
+
+    def exponent(r):
+        try:
+            return r.log_exponent(place.p, place.eps)
+        except ValueError as e:
+            raise ValueError(f"disc radius {r!r} is outside the value group") from e
+
+    leaf_data = []
+    for i, sign, d in fig.all_discs():
+        _kind, c, r = disc_shape(place, d)
+        leaf_data.append((c, r))
+        insert(c, r, (i, sign))
+    for (c1, r1), (c2, r2) in itertools.combinations(leaf_data, 2):
+        insert(c1, max(r1, r2, abs_value(place, c1 - c2)))
+
+    nodes = {}
+    order = sorted(range(len(points)), key=lambda k: exponent(points[k][1]))
+    for nid, k in enumerate(order):
+        c, r, labels = points[k]
+        nodes[nid] = TreeNode(nid, c, r, exponent(r), labels=list(labels))
+    for n in nodes.values():
+        best = None
+        for m in nodes.values():
+            if m.radius > n.radius and ball_inside(
+                    place, n.center, n.radius, m.center, m.radius):
+                if best is None or m.radius < best.radius:
+                    best = m
+        if best is not None:
+            n.parent = best.id
+            n.edge_length = MetricLength(n.q - best.q, place.p, place.eps)
+            best.children.append(n.id)
+    roots = [n.id for n in nodes.values() if n.parent is None]
+    leaf_of = {lab: n.id for n in nodes.values() for lab in n.labels}
+    return nodes, roots[0], leaf_of
+
+
+def _same_tree(fig):
+    tree = build_tree(fig)
+    nodes, root, leaf_of = _build_tree_reference(fig)
+    # TreeNode is a dataclass: == compares every field, and repr pins the
+    # exact form of each radius and length.
+    assert list(tree.nodes.values()) == list(nodes.values())
+    assert repr(tree.nodes) == repr(nodes)
+    assert (tree.root, tree.leaf_of) == (root, leaf_of)
+    assert all(n.q * tree.unit == int(n.q * tree.unit) for n in nodes.values())
+    return tree
+
+
+@given(st.integers(0, 2 ** 32), st.integers(1, 4), st.sampled_from([2, 3, 5]),
+       st.sampled_from([Fraction(1), Fraction(2, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_tree_equals_the_build_on_absolute_values(seed, g, p, eps):
+    _same_tree(normalized_figure(
+        random_sb_point(seeded(seed), Place.padic(p, eps), g)))
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(2, 3)])
+def test_radii_off_the_lattice(eps):
+    # Radii 2^(-1/3) and 2^(-2/5): neither lies on the 1/(2 den eps)
+    # lattice of the default log-midpoint radii.
+    pt = schottky_point(Place.padic(2, eps), [Fraction(4), Fraction(4)],
+                        [Fraction(-1)])
+    radii = [ExactValue.p_power(2, -eps / 3), ExactValue.p_power(2, -2 * eps / 5)]
+    tree = _same_tree(normalized_figure(pt, radii=radii))
+    assert tree.unit == 15
+    assert tree.nodes[tree.leaf_of[1, 1]].q == Fraction(1, 3)
+    assert tree.nodes[tree.leaf_of[2, 1]].q == Fraction(7, 5)
+    assert tree.distance((1, 1), (1, -1)).q == 2  # the length of w(1)
+    assert tree.translation_lengths([ReducedWord((1, 2))]) == [
+        translation_length(pt, ReducedWord((1, 2)))]
+
+
+def test_radius_of_another_prime_is_refused():
+    fig = normalized_figure(dumbbell_point(),
+                            radii=[Fraction(1, 3), ExactValue.p_power(2, -1)])
+    with pytest.raises(ValueError, match="outside the value group"):
+        build_tree(fig)
+
+
+def _translation_length_reference(pt, w):
+    """-log |det| / |tr|^2 on `ExactValue`s."""
+    place = pt.place
+    m = evaluate_word(pt, w)
+    absdet, abstr = abs_value(place, m.det()), abs_value(place, m.tr())
+    if not abstr * abstr > absdet:
+        raise NotLoxodromic(f"{w!r}")
+    return MetricLength((absdet / (abstr * abstr)).log_exponent(place.p, place.eps),
+                        place.p, place.eps)
+
+
+def _length_or_refusal(pt, w, length):
+    try:
+        return length(pt, w)
+    except NotLoxodromic:
+        return "not loxodromic"
+
+
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.sampled_from([2, 3, 5]),
+       st.sampled_from([Fraction(1), Fraction(2, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_translation_length_equals_the_value_computation(seed, g, p, eps):
+    # Points off the good locus too, where words can fail to be loxodromic.
+    rng = seeded(seed)
+    pt = random_point(rng, Place.padic(p, eps), g, val_range=(0, 3))
+    if pt is None:
+        return
+    for n in range(1, 7):
+        w = random_reduced_word(rng, g, n)
+        assert _length_or_refusal(pt, w, translation_length) == \
+            _length_or_refusal(pt, w, _translation_length_reference)
+
+
+def test_translation_length_refuses_an_elliptic_word():
+    pt = schottky_point(Place.padic(2), [Fraction(2), Fraction(2)], [Fraction(2)])
+    with pytest.raises(NotLoxodromic):
+        _translation_length_reference(pt, ReducedWord((1, 2)))
+    with pytest.raises(NotLoxodromic):
+        translation_length(pt, ReducedWord((1, 2)))
+    assert translation_length(pt, ReducedWord((1,))).q == 1
