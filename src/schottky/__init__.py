@@ -10,6 +10,7 @@ from .places import (
     abs_value,
     gauss_seminorm,
     hybrid_section_eval,
+    trivial_seminorm,
 )
 from .moebius import (
     Disc,

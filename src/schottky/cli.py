@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .places import Place, hybrid_section_eval
+from .places import Place, hybrid_section_eval, trivial_seminorm
 from .moebius import MultiplierUnderflow, disc_shape
 from .figures import (
     BudgetExceeded,
@@ -76,10 +76,10 @@ def _load_point(args):
     return ser.point_from_json(_load_json(args))
 
 
-def _violation_json(v) -> dict:
+def _violation_json(v, place: Place) -> dict:
     i, (j, sj), (k, sk), val = v
     return {"i": i, "j": j, "sign_j": sj, "k": k, "sign_k": sk,
-            "value": ser.absvalue_to_json(val)}
+            "value": ser.absvalue_to_json(val, place)}
 
 
 def _figure_json(fig) -> dict:
@@ -103,7 +103,7 @@ def cmd_verify(args) -> int:
               "is_in_SB": sb.status}
     status, figure = sb.status, sb.figure
     if status == "no":
-        report["violated"] = _violation_json(sb.violated)
+        report["violated"] = _violation_json(sb.violated, pt.place)
     elif status == "unknown":
         member = is_schottky(pt, nielsen_depth=args.nielsen_depth, root=sb)
         status = report["is_schottky"] = member.status
@@ -246,12 +246,9 @@ def cmd_hybrid(args) -> int:
             status = is_in_SB(apt).status
         except ValueError as e:
             status = f"error: {e}"
-        # The trivial column is the Gauss seminorm max |a_i| r^i, in which
-        # every nonzero a_i has absolute value 1.
         sem = {name: {
             "hybrid": format(hybrid_section_eval(coeffs, rs[0], eps), ".17g"),
-            "trivial": format(float(max(
-                rs[0] ** i for i, a in enumerate(coeffs) if a)), ".17g")}
+            "trivial": format(float(trivial_seminorm(coeffs, rs[0])), ".17g")}
             for name, coeffs in _HYBRID_POLYS}
         rows.append({"eps": ser.rat_to_json(eps), "abs_Y": r_json,
                      "arch_status": status, "seminorms": sem})

@@ -39,6 +39,7 @@ from .places import (
     ExactValue,
     ONE_ABS,
     Place,
+    PlaceError,
     abs_value,
 )
 
@@ -410,10 +411,7 @@ def ford_figure_from_triples(place: Place, triples: Sequence[KoebeTriple],
         c = GaussianRational(cr, ci)  # s cancels in the centres a/c, -d/c
         absdet = abs_value(place, m.det())
         absc = abs_value(place, m.c)
-        if place.is_nonarchimedean:
-            lam_v: AbsValue = ExactValue.from_rational(lam)
-        else:
-            lam_v = ApproxReal(float(lam))
+        lam_v = _scale_value(place, lam)
         rho = (lam_v * absdet).sqrt() / absc
         gens.append(m)
         # gamma sends the complement of the disc around its pole -d/c to
@@ -428,6 +426,15 @@ def ford_figure_from_triples(place: Place, triples: Sequence[KoebeTriple],
 def ford_figure(pt: SchottkyPoint, lambdas: Sequence[Rat]) -> SchottkyFigure:
     return replace(ford_figure_from_triples(pt.place, pt.triples, lambdas),
                    point=pt)
+
+
+def _scale_value(place: Place, x: Rat) -> AbsValue:
+    """A positive rational as a value: a float, or at a p-adic place p^k."""
+    if place.is_archimedean:
+        return ApproxReal(float(x))
+    if place.kind != "padic":
+        raise PlaceError("figures need an archimedean or p-adic place")
+    return ExactValue.of_rational(place.p, x)
 
 
 # -- good-basis inequalities --------------------------------------------------
@@ -520,7 +527,7 @@ def normalized_figure(pt: SchottkyPoint,
         else:
             r = radii[i - 1]
             if isinstance(r, (int, Fraction)):
-                r = ExactValue.from_rational(Fraction(r))
+                r = _scale_value(pt.place, r)
             if not (lo < r < hi):
                 raise RadiiOutOfWindow(f"radius {r} outside window ({lo},{hi})")
         chosen.append(r)

@@ -9,20 +9,19 @@ comparison goes through the kernels ``ball_inside`` and ``balls_apart``, over
 closed balls B[a, r] = {|z - a| <= r} and open ones B(a, r) = {|z - a| < r}.
 
 At a p-adic place the disc kernel measures x by its log_p magnitude
-L(x) = -v_p(x) eps (-inf for 0), |x| = p^L(x).  L is strictly increasing in
+L(x) = -v_p(x) eps (-inf for 0), |x| = p^L(x), as the integer U L(x) for a
+unit U that clears every denominator in sight.  L is strictly increasing in
 |x|, so every ultrametric comparison keeps its form on L, and products of
-absolute values become sums.  Radii that are not powers of p, and the
-trivial place, run the same code on ``AbsValue``s.
+absolute values become sums.  A radius must be a power of p; the disc
+kernel refuses the trivial place.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Optional
 
 from .exactnum import ZERO, GaussianRational, as_gaussian, padic_valuation
@@ -32,6 +31,7 @@ from .places import (
     ExactValue,
     ImaginaryAtNonArch,
     Place,
+    PlaceError,
     abs_value,
 )
 
@@ -278,17 +278,29 @@ def moebius_to_zero_inf_one(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> Moebius
 def is_loxodromic(place: Place, m: Moebius) -> bool:
     """Whether m has an attracting/repelling pair at the place.
 
-    Non-archimedean: the exact test |det| < |tr|^2.  Archimedean: the
-    eigenvalue moduli must differ by more than a 1e-12 relative margin.
+    Non-archimedean: the exact test |det| < |tr|^2 (`multiplier_valuation`).
+    Archimedean: the eigenvalue moduli must differ by more than a 1e-12
+    relative margin.
     """
-    if place.is_nonarchimedean:  # s^2 cancels: |det| < |tr|^2 iff |dn| < |t|^2
-        t = abs_value(place, GaussianRational(*m._t()))
-        return abs_value(place, GaussianRational(*m._dn)) < t * t
+    if place.is_nonarchimedean:
+        return multiplier_valuation(place, m) > 0
     ca, cb, cc, cd = m.to_complex()
     tr, det = ca + cd, ca * cd - cb * cc
     s = cmath.sqrt(tr * tr - 4 * det)
     r1, r2 = abs((tr + s) / 2), abs((tr - s) / 2)
     return abs(r1 - r2) > ARCH_TOL * max(r1, r2, 1e-300)
+
+
+def multiplier_valuation(place: Place, m: Moebius) -> int:
+    """v_p(dn) - 2 v_p(t) for the integer numerators t = s tr, dn = s^2 det:
+    m is loxodromic iff it is positive, and then it is v_p of the multiplier
+    |det| / |tr|^2.  0 at the trivial place, where nothing is loxodromic."""
+    (t, ti), (dn, di) = m._t(), m._dn
+    if ti or di:
+        raise ImaginaryAtNonArch(_NOT_REAL)
+    if place.kind != "padic" or not t:
+        return 0
+    return padic_valuation(dn, place.p) - 2 * padic_valuation(t, place.p)
 
 
 @dataclass(frozen=True)
@@ -490,36 +502,34 @@ _NOT_REAL = "non-archimedean places are defined on rational values only"
 
 
 def _scale(place: Place, *radii: AbsValue):
-    """(of, radii, mul, div, value): of(x) is the magnitude of an integer x,
-    radii the given radii as magnitudes, mul and div act on magnitudes, and
-    value(m) is m as an AbsValue.  A magnitude is q L(x), an int, when the
-    place is p-adic and every radius is p^e with e in (1/q)Z, q = 2 den(eps)
-    (as are geometric means of p-adic absolute values); else an AbsValue."""
-    if place.kind == "padic":
-        p, q, logs = place.p, 2 * place.eps.denominator, []
-        for r in radii:
-            f = getattr(r, "factors", None)
-            if f is None or len(f) > (p in f):
-                break
-            n, d = f[p].as_integer_ratio() if f else (0, 1)
-            if q % d:
-                break
-            logs.append(n * q // d)
-        else:
-            unit = 2 * place.eps.numerator
-            return (lambda x: -padic_valuation(x, p) * unit if x else -math.inf,
-                    logs, operator.add, operator.sub,
-                    lambda e: ExactValue.p_power(p, Fraction(e, q)))
-    return (partial(abs_value, place), radii, operator.mul, operator.truediv,
-            lambda r: r)
+    """(of, radii, value): of(x) is the magnitude q L(x) of an integer x, an
+    int (-inf for 0), radii the given radii p^e as the magnitudes q e, and
+    value(k) the radius of magnitude k.  The unit q = 2 den(eps) (geometric
+    means of p-adic absolute values lie in (1/q)Z) grows to the lcm with the
+    denominator of each radius exponent that it does not clear."""
+    if place.kind != "padic":
+        raise PlaceError("the disc kernel needs a p-adic place")
+    p, eps = place.p, place.eps
+    q, exps = 2 * eps.denominator, []
+    for r in radii:
+        if r.__class__ is not ExactValue or r.p != p and r.e:
+            raise ValueError(f"disc radius {r!r} is not a power of {p}")
+        n, d = r.e.as_integer_ratio()
+        if q % d:
+            q = math.lcm(q, d)
+        exps.append((n, d))
+    unit = q // eps.denominator * eps.numerator
+    return (lambda x: -padic_valuation(x, p) * unit if x else -math.inf,
+            [n * (q // d) for n, d in exps],
+            lambda k: ExactValue(p, Fraction(k, q)))
 
 
-def _dist(of, div, a: GaussianRational, b: GaussianRational):
+def _dist(of, a: GaussianRational, b: GaussianRational):
     """|a - b| as a magnitude: |n d' - n' d| / |d d'| for a = n/d, b = n'/d'."""
     if a.im or b.im:
         raise ImaginaryAtNonArch(_NOT_REAL)
     (n, d), (n2, d2) = a.re.as_integer_ratio(), b.re.as_integer_ratio()
-    return div(of(n * d2 - n2 * d), of(d * d2))
+    return of(n * d2 - n2 * d) - of(d * d2)
 
 
 def _image_nonarch(place: Place, g: Moebius, disc: Disc) -> Disc:
@@ -530,16 +540,14 @@ def _image_nonarch(place: Place, g: Moebius, disc: Disc) -> Disc:
     if disc.center.im or ai or bi or ci or di:
         raise ImaginaryAtNonArch(_NOT_REAL)
     n, m = disc.center.re.as_integer_ratio()
-    of, (r,), mul, div, value = _scale(place, disc.radius)
+    of, (r,), value = _scale(place, disc.radius)
     A, B, C, D = a * m, a * n + b * m, c * m, c * n + d * m
     det, ad, ac = of(g._dn[0] * m * m), of(D), of(C)
-    if ad > mul(r, ac):
-        return Disc(GaussianRational(Fraction(B, D)),
-                    value(div(mul(det, r), mul(ad, ad))), "std")
+    if ad > r + ac:
+        return Disc(GaussianRational(Fraction(B, D)), value(det + r - 2 * ad), "std")
     ab, aa = of(B), of(A)
-    if ab > mul(r, aa):
-        return Disc(GaussianRational(Fraction(D, B)),
-                    value(div(mul(det, r), mul(ab, ab))), "inv")
+    if ab > r + aa:
+        return Disc(GaussianRational(Fraction(D, B)), value(det + r - 2 * ab), "inv")
     raise PoleInsideDisc("image is not a disc in either chart")
 
 
@@ -577,10 +585,10 @@ def disc_shape(place: Place, disc: Disc):
         return ("std", disc.center, disc.radius)
     c, r = disc.center, disc.radius
     if place.is_nonarchimedean:
-        of, (lr,), mul, div, value = _scale(place, r)
-        ac = _dist(of, div, c, ZERO)
+        of, (lr,), value = _scale(place, r)
+        ac = _dist(of, c, ZERO)
         if ac > lr:
-            return ("std", GaussianRational(1 / c.re), value(div(lr, mul(ac, ac))))
+            return ("std", GaussianRational(1 / c.re), value(lr - 2 * ac))
         return ("codisc", GaussianRational(0), r ** -1)
     zc = c.to_complex()
     rf = r.to_float()
@@ -605,8 +613,8 @@ def ball_inside(place: Place, a: GaussianRational, ra: AbsValue, b: GaussianRati
     one iff dist < rb and ra <= rb.  Archimedean: sign of rb - dist - ra.
     """
     if place.is_nonarchimedean:
-        of, (ra, rb), _, div, _ = _scale(place, ra, rb)
-        dist = _dist(of, div, a, b)
+        of, (ra, rb), _ = _scale(place, ra, rb)
+        dist = _dist(of, a, b)
         if not b_open:
             return dist <= rb and ra <= rb
         return dist < rb and (ra <= rb if a_open else ra < rb)
@@ -624,8 +632,8 @@ def balls_apart(place: Place, a: GaussianRational, ra: AbsValue, b: GaussianRati
     dist - ra - rb.
     """
     if place.is_nonarchimedean:
-        of, (ra, rb), _, div, _ = _scale(place, ra, rb)
-        dist = _dist(of, div, a, b)
+        of, (ra, rb), _ = _scale(place, ra, rb)
+        dist = _dist(of, a, b)
         return dist > ra and (dist >= rb if b_open else dist > rb)
     dist = abs_value(place, a - b)
     return _arch_sign(dist.to_float() - ra.to_float() - rb.to_float(),

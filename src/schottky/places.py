@@ -4,10 +4,10 @@ A Place is an absolute value on Q (possibly raised to a power eps):
 archimedean |.|^eps with 0 < eps <= 1, p-adic |.|_p^eps with eps > 0,
 or the trivial absolute value on Q.
 
-Absolute values of nonzero elements at non-archimedean places are
-represented *exactly* as products of prime powers with rational
-exponents; comparisons reduce to integer comparisons, so no precision
-is ever lost.  Archimedean values are machine floats.
+Absolute values of nonzero elements at a p-adic place are represented
+*exactly* as p^e with a rational exponent e, so comparisons, products and
+powers act on e and no precision is ever lost.  Archimedean values are
+machine floats.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from .exactnum import (
     Rat,
     as_gaussian,
-    factorize,
     padic_valuation,
 )
 
@@ -172,153 +171,98 @@ ZERO_ABS = ExactZero()
 
 
 class ExactValue(AbsValue):
-    """A positive real of the shape prod_p p^(e_p), exponents rational.
+    """The positive real p^e: a prime p and a ``Fraction`` exponent e.
 
-    This covers every nonzero absolute value a non-archimedean place can
-    produce (|x|_p^eps = p^(-v_p(x) eps)), as well as exact rational
-    scale factors and their rational powers.  Products, quotients and
-    rational powers stay in the class; comparisons clear denominators
-    and compare integers, hence are exact even across different primes.
-    When both operands are powers of one prime p, compare, multiply and
-    divide work on the exponents of p alone.
-
-    Invariant: ``factors`` maps primes to nonzero ``Fraction`` exponents.
+    Every nonzero absolute value at a p-adic place has this form,
+    |x|_p^eps = p^(-v_p(x) eps), and so do its products, quotients and
+    rational powers, which act on e alone.  A value with e = 0 is 1 and
+    counts as a power of every prime.  ``==`` is total: by unique
+    factorization p^e = q^f for distinct primes only when e = f = 0.
+    Ordering or multiplying powers of two distinct primes raises
+    ValueError.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("p", "e")
 
-    def __init__(self, factors: dict[int, Fraction]):
-        clean = {b: Fraction(e) for b, e in factors.items() if e != 0}
-        object.__setattr__(self, "factors", clean)
-
-    @staticmethod
-    def _make(factors: dict[int, Fraction]) -> "ExactValue":
-        """Wrap factors that already keep the invariant."""
-        v = object.__new__(ExactValue)
-        object.__setattr__(v, "factors", factors)
-        return v
-
-    def _one_prime(self, other: "ExactValue"):
-        """(p, e, f) with self = p^e and other = p^f when the two values
-        involve exactly one prime p between them, else None."""
-        primes = self.factors.keys() | other.factors.keys()
-        if len(primes) != 1:
-            return None
-        (p,) = primes
-        return p, self.factors.get(p, _F0), other.factors.get(p, _F0)
+    def __init__(self, p: int, e: Rat):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e if type(e) is Fraction else Fraction(e))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ExactValue is immutable")
 
     @staticmethod
-    def one() -> "ExactValue":
-        return ExactValue({})
-
-    @staticmethod
-    def from_rational(q: Fraction) -> "ExactValue":
-        """Exact value of a positive rational number."""
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError("ExactValue represents positive reals only")
-        fac: dict[int, Fraction] = {}
-        for b, e in factorize(q.numerator).items():
-            fac[b] = fac.get(b, Fraction(0)) + e
-        for b, e in factorize(q.denominator).items():
-            fac[b] = fac.get(b, Fraction(0)) - e
-        return ExactValue(fac)
-
-    @staticmethod
-    def p_power(p: int, exponent: Fraction) -> "ExactValue":
+    def p_power(p: int, exponent: Rat) -> "ExactValue":
         """The value p^exponent."""
-        e = exponent if type(exponent) is Fraction else Fraction(exponent)
-        return ExactValue._make({p: e} if e else {})
+        return ExactValue(p, exponent)
+
+    @staticmethod
+    def of_rational(p: int, x: Rat) -> "ExactValue":
+        """x as p^v_p(x); ValueError unless x is a power of p."""
+        x = Fraction(x)
+        if x <= 0 or x != Fraction(p) ** (k := padic_valuation(x, p)):
+            raise ValueError(f"{x} is not a power of {p}")
+        return ExactValue(p, k)
+
+    def _prime(self, other: "ExactValue") -> int:
+        """The prime both values are powers of."""
+        if self.p != other.p and self.e and other.e:
+            raise ValueError(f"{self!r} and {other!r} are powers of distinct primes")
+        return self.p if self.e else other.p
 
     def cmp(self, other: AbsValue) -> int:
+        if isinstance(other, ExactValue):  # p > 1: p^e vs p^f orders like e vs f
+            self._prime(other)
+            return (self.e > other.e) - (self.e < other.e)
         if isinstance(other, ExactZero):
             return 1
         if isinstance(other, ApproxReal):
             return self._cmp_float(other.value)
-        if not isinstance(other, ExactValue):
-            return NotImplemented
-        one = self._one_prime(other)
-        if one is not None:  # p > 1, so p^e vs p^f orders like e vs f
-            _, e, f = one
-            return (e > f) - (e < f)
-        diff: dict[int, Fraction] = dict(self.factors)
-        for b, e in other.factors.items():
-            diff[b] = diff.get(b, Fraction(0)) - e
-        diff = {b: e for b, e in diff.items() if e != 0}
-        if not diff:
-            return 0
-        n = math.lcm(*(e.denominator for e in diff.values()))
-        num = den = 1
-        for b, e in diff.items():
-            k = int(e * n)
-            if k > 0:
-                num *= b**k
-            else:
-                den *= b**-k
-        return (num > den) - (num < den)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, ExactValue):
+            return self.e == other.e and (self.p == other.p or not self.e)
+        return AbsValue.__eq__(self, other)
 
     def __mul__(self, other):
+        if isinstance(other, ExactValue):
+            return ExactValue(self._prime(other), self.e + other.e)
         if isinstance(other, ExactZero):
             return ZERO_ABS
         if isinstance(other, ApproxReal):
             return ApproxReal(self.to_float() * other.value)
-        if isinstance(other, ExactValue):
-            one = self._one_prime(other)
-            if one is not None:
-                p, e, f = one
-                return ExactValue.p_power(p, e + f)
-            fac = dict(self.factors)
-            for b, e in other.factors.items():
-                fac[b] = fac.get(b, Fraction(0)) + e
-            return ExactValue(fac)
-        if isinstance(other, (int, Fraction)):
-            return self * ExactValue.from_rational(Fraction(other))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, ExactValue):
-            one = self._one_prime(other)
-            if one is not None:
-                p, e, f = one
-                return ExactValue.p_power(p, e - f)
-            return self * other ** -1
+            return ExactValue(self._prime(other), self.e - other.e)
         if isinstance(other, ApproxReal):
             return ApproxReal(self.to_float() / other.value)
-        if isinstance(other, (int, Fraction)):
-            return self / ExactValue.from_rational(Fraction(other))
         return NotImplemented
 
     def __pow__(self, k: Rat) -> "ExactValue":
-        k = Fraction(k)
-        if not k:
-            return ONE_ABS
-        return ExactValue._make({b: e * k for b, e in self.factors.items()})
+        return ExactValue(self.p, self.e * k)
 
     def sqrt(self) -> "ExactValue":
-        return self ** _HALF
+        return ExactValue(self.p, self.e / 2)
 
     def __hash__(self):
         try:  # == reaches across ApproxReal, which hashes as its float
             return hash(self.to_float())
         except OverflowError:  # past the floats: no ApproxReal is equal
-            return hash(frozenset(self.factors.items()))
+            return hash((self.p, self.e))
 
     def _log(self) -> float:
-        # fsum rounds once, so equal values (any factor order) hash equal.
-        return math.fsum(float(e) * math.log(b) for b, e in self.factors.items())
+        return float(self.e) * math.log(self.p)
 
     def to_float(self) -> float:
-        """Correctly rounded when every exponent is an integer and the value
+        """Correctly rounded when the exponent is an integer and the value
         has at most 2000 bits; else exp of the logarithm."""
-        f = self.factors
-        if all(e.denominator == 1 for e in f.values()) and sum(
-                abs(e) * b.bit_length() for b, e in f.items()) <= 2000:
-            return float(math.prod(Fraction(b) ** e for b, e in f.items()))
+        if self.e.denominator == 1 and abs(self.e) * self.p.bit_length() <= 2000:
+            return float(Fraction(self.p) ** self.e)
         return math.exp(self._log())
 
     def _cmp_float(self, x: float) -> int:
@@ -334,26 +278,16 @@ class ExactValue(AbsValue):
         return (log > log_x) - (log < log_x)
 
     def log_exponent(self, p: int, eps: Fraction) -> Fraction:
-        """Write the value as p^(-q*eps) and return q.
-
-        Raises ValueError if other primes contribute, i.e. the value is
-        not a pure power of p.
-        """
-        extra = [b for b in self.factors if b != p]
-        if extra:
-            raise ValueError(f"value involves primes {extra}, not a power of {p}")
-        return -self.factors.get(p, Fraction(0)) / Fraction(eps)
+        """The q with value p^(-q*eps); ValueError if it is no power of p."""
+        if self.p != p and self.e:
+            raise ValueError(f"{self!r} is not a power of {p}")
+        return -self.e / Fraction(eps)
 
     def __repr__(self):
-        if not self.factors:
-            return "|1|"
-        parts = "*".join(f"{b}^({e})" for b, e in sorted(self.factors.items()))
-        return f"|{parts}|"
+        return f"|{self.p}^({self.e})|" if self.e else "|1|"
 
 
-_F0 = Fraction(0)
-_HALF = Fraction(1, 2)
-ONE_ABS = ExactValue.one()
+ONE_ABS = ExactValue(1, 0)
 
 
 class ApproxReal(AbsValue):
@@ -381,8 +315,6 @@ class ApproxReal(AbsValue):
             return ZERO_ABS
         if isinstance(other, AbsValue):
             return ApproxReal(self.value * other.to_float())
-        if isinstance(other, (int, Fraction)):
-            return ApproxReal(self.value * float(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -390,8 +322,6 @@ class ApproxReal(AbsValue):
     def __truediv__(self, other):
         if isinstance(other, AbsValue):
             return ApproxReal(self.value / other.to_float())
-        if isinstance(other, (int, Fraction)):
-            return ApproxReal(self.value / float(other))
         return NotImplemented
 
     def __pow__(self, k: Rat) -> "ApproxReal":
@@ -437,28 +367,27 @@ def abs_value(place: Place, x) -> AbsValue:
 
 
 def gauss_seminorm(place: Place, coeffs: Sequence[Rat], r: Rat) -> AbsValue:
-    """Sup-seminorm of an integer polynomial on the disc of radius r.
+    """The Gauss-point seminorm max_i |a_i| r^i of P(T) = sum a_i T^i,
+    ``coeffs`` = a_0, a_1, ..., at a p-adic place and r a power of p."""
+    if place.kind != "padic":
+        raise PlaceError("gauss_seminorm is defined at p-adic places")
+    _check_seminorm(coeffs, r)
+    rv = ExactValue.of_rational(place.p, r)
+    return max(abs_value(place, c) * rv**i for i, c in enumerate(coeffs) if c)
 
-    ``coeffs`` lists a_0, a_1, ... of P(T) = sum a_i T^i; the result is
-    max_i |a_i| r^i, computed exactly.  Only non-archimedean places are
-    supported (the formula is the Gauss-point seminorm).
-    """
-    if place.is_archimedean:
-        raise PlaceError("gauss_seminorm is defined at non-archimedean places")
-    r = Fraction(r)
+
+def trivial_seminorm(coeffs: Sequence[Rat], r: Rat) -> Fraction:
+    """The Gauss seminorm max r^i over the nonzero a_i at the trivial
+    absolute value, where every nonzero a_i has absolute value 1."""
+    _check_seminorm(coeffs, r)
+    return max(Fraction(r) ** i for i, c in enumerate(coeffs) if c)
+
+
+def _check_seminorm(coeffs: Sequence[Rat], r: Rat) -> None:
     if r <= 0:
         raise ValueError("radius must be positive")
     if all(c == 0 for c in coeffs):
         raise ZeroPolynomial("seminorm of the zero polynomial")
-    rv = ExactValue.from_rational(r)
-    best: AbsValue = ZERO_ABS
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        term = abs_value(place, c) * rv**i
-        if term > best:
-            best = term
-    return best
 
 
 def hybrid_section_eval(coeffs: Sequence[Rat], r: Rat, eps: Rat) -> float:

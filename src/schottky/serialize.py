@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional
 
 from .exactnum import GaussianRational, format_fraction, parse_fraction
 from .places import (
@@ -112,22 +111,13 @@ def place_from_json(obj) -> Place:
 # -- absolute values ----------------------------------------------------------
 
 
-def absvalue_to_json(v: AbsValue, place: Optional[Place] = None) -> dict:
+def absvalue_to_json(v: AbsValue, place: Place) -> dict:
     if isinstance(v, ExactZero):
         return {"kind": "zero"}
     if isinstance(v, ApproxReal):
         return {"kind": "approx", "value": format(v.value, ".17g")}
-    assert isinstance(v, ExactValue)
-    if place is not None and place.kind == "padic":
-        try:
-            q = v.log_exponent(place.p, place.eps)
-            return {"kind": "exact_log", "q": rat_to_json(q),
-                    "p": place.p, "eps": rat_to_json(place.eps)}
-        except ValueError:
-            pass
-    return {"kind": "exact_factors",
-            "factors": {str(b): rat_to_json(e)
-                        for b, e in sorted(v.factors.items())}}
+    return {"kind": "exact_log", "q": rat_to_json(v.log_exponent(place.p, place.eps)),
+            "p": place.p, "eps": rat_to_json(place.eps)}
 
 
 def absvalue_from_json(obj, where: str = "value") -> AbsValue:
@@ -140,16 +130,13 @@ def absvalue_from_json(obj, where: str = "value") -> AbsValue:
         q = rat_from_json(_get(obj, "q", where), where)
         eps = rat_from_json(obj.get("eps", "1"), where)
         return ExactValue.p_power(int(_get(obj, "p", where)), -q * eps)
-    if kind == "exact_factors":
-        return ExactValue({int(b): rat_from_json(e, where)
-                           for b, e in _get(obj, "factors", where).items()})
     raise MalformedInput(f"{where}: unknown value kind {kind!r}")
 
 
 # -- discs --------------------------------------------------------------------
 
 
-def disc_to_json(place: Optional[Place], d: Disc) -> dict:
+def disc_to_json(place: Place, d: Disc) -> dict:
     return {"chart": d.chart, "center": gq_to_json(d.center),
             "radius": absvalue_to_json(d.radius, place),
             "closed": True}  # Disc has no open form: all are closed

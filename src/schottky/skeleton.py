@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exactnum import GaussianRational, padic_valuation
-from .moebius import _NOT_REAL, Disc, NotLoxodromic, _dist, disc_shape
-from .places import AbsValue, ExactValue, ImaginaryAtNonArch, Place, abs_value
+from .moebius import Disc, NotLoxodromic, _dist, disc_shape, multiplier_valuation
+from .places import AbsValue, ExactValue, Place, abs_value
 from .figures import (
     ReducedWord,
     SchottkyFigure,
@@ -215,11 +214,7 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
         _kind, c, r = disc_shape(place, d)
         if not isinstance(r, ExactValue):
             raise ArchimedeanUnsupported("exact radii required")
-        try:
-            qs.append(r.log_exponent(p, eps))
-        except ValueError as e:
-            raise ValueError(
-                f"disc radius {r!r} is outside the value group p^Q: {e}") from e
+        qs.append(r.log_exponent(p, eps))  # ValueError unless r is p^e
         labels.append((i, sign))
         centres.append(c)
     unit = math.lcm(*(q.denominator for q in qs))
@@ -228,7 +223,7 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
     def of(x: int):  # the depth of |x|
         return padic_valuation(x, p) * unit if x else math.inf
 
-    apart = {(a, b): _dist(of, operator.sub, ca, cb)
+    apart = {(a, b): _dist(of, ca, cb)
              for (a, ca), (b, cb) in itertools.product(enumerate(centres), repeat=2)}
 
     # Leaves plus all pairwise joins; joins of joins add nothing new.
@@ -396,20 +391,15 @@ def glue_skeleton(tree: MetricTree) -> MetricGraph:
 def translation_length(pt: SchottkyPoint, w: ReducedWord) -> MetricLength:
     """Displacement of the word's matrix on the tree: -log of |multiplier|.
 
-    Exact: with t = s tr and dn = s^2 det the integer numerators of the
-    word's matrix, it is loxodromic iff 2 v_p(t) < v_p(dn), and then
-    |beta| = |dn| / |t|^2 = p^(-q eps) with q = v_p(dn) - 2 v_p(t).  Works
-    for any p-adic point and nonempty word; the check of the tree lengths.
+    Exact: |beta| = p^(-q eps) with q the `multiplier_valuation` of the
+    word's matrix.  Works for any p-adic point and nonempty word; the
+    check of the tree lengths.
     """
     place = pt.place
     _require_padic(place)
     if not len(w):
         raise ValueError("the empty word has no translation length")
-    m = evaluate_word(pt, w)
-    (t, ti), (dn, di) = m._t(), m._dn
-    if ti or di:
-        raise ImaginaryAtNonArch(_NOT_REAL)
-    q = padic_valuation(dn, place.p) - 2 * padic_valuation(t, place.p) if t else 0
+    q = multiplier_valuation(place, evaluate_word(pt, w))
     if q <= 0:
         raise NotLoxodromic(f"word {w!r} evaluates to a non-loxodromic matrix")
     return MetricLength(Fraction(q), place.p, place.eps)

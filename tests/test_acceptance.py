@@ -28,7 +28,6 @@ from schottky import (
     ReducedWord,
     abs_value,
     cross_ratio,
-    gauss_seminorm,
     hybrid_section_eval,
     is_in_SB,
     is_schottky,
@@ -36,6 +35,7 @@ from schottky import (
     matrix_to_koebe,
     schottky_point,
     translation_length,
+    trivial_seminorm,
 )
 from schottky.exactnum import GaussianRational, padic_valuation
 from schottky.figures import (
@@ -411,8 +411,7 @@ def test_criterion_08_hybrid(capsys):
             assert abs(hybrid - trivial) <= 1e-2
         # Same bound checked directly against the exact seminorm.
         for coeffs in ([0, 1], [1, 1], [5, 0, 3]):
-            want = gauss_seminorm(Place.trivial_q(), coeffs,
-                                  Fraction(1, 2)).to_float()
+            want = float(trivial_seminorm(coeffs, Fraction(1, 2)))
             got = hybrid_section_eval(coeffs, Fraction(1, 2),
                                       Fraction(1, 1000))
             assert abs(got - want) <= 1e-2

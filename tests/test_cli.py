@@ -259,8 +259,11 @@ def test_hybrid_factorizes_nothing(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"factorize({n}) called")
 
+    # Only exactnum defines factorize: no other module binds it.
+    assert [name for name, mod in sys.modules.items()
+            if name.startswith("schottky.") and hasattr(mod, "factorize")
+            ] == ["schottky.exactnum"]
     monkeypatch.setattr(schottky.exactnum, "factorize", refuse)
-    monkeypatch.setattr(schottky.places, "factorize", refuse)
     code, rep = run(capsys, "hybrid", "--json",
                     json.dumps({"r": ["1/10000000000000061"]}))
     assert code == EXIT_YES

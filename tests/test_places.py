@@ -17,6 +17,7 @@ from schottky.places import (
     abs_value,
     gauss_seminorm,
     hybrid_section_eval,
+    trivial_seminorm,
 )
 from schottky.exactnum import GaussianRational
 
@@ -60,41 +61,45 @@ def test_multiplicative_and_ultrametric(a, b, p):
         assert abs_value(place, a + b) <= max(va, vb)
 
 
-def test_exact_value_cross_prime_comparison():
-    # 2^10 = 1024 vs 3^6 = 729: decided by integer arithmetic, no floats.
-    assert ExactValue.p_power(2, 10) > ExactValue.p_power(3, 6)
-    assert ExactValue.p_power(2, Fraction(1, 2)) < ExactValue.p_power(3, Fraction(1, 2))
-    # A genuinely tight case that would need ~60 bits of float care:
-    a = ExactValue.from_rational(Fraction(2 ** 60 + 1, 2 ** 60))
-    assert a > ONE_ABS
-    assert a * ExactValue.from_rational(Fraction(2 ** 60, 2 ** 60 + 1)) == ONE_ABS
+def test_ordering_powers_of_distinct_primes_raises():
+    two, three = ExactValue.p_power(2, 10), ExactValue.p_power(3, 6)
+    for op in (lambda: two < three, lambda: two >= three, lambda: two.cmp(three),
+               lambda: two * three, lambda: two / three, lambda: max(two, three)):
+        with pytest.raises(ValueError, match="distinct primes"):
+            op()
+    # 1 = p^0 is a power of every prime.
+    assert two > ONE_ABS and ONE_ABS < three and two * ONE_ABS == two
+    assert ONE_ABS / three == three ** -1 and ExactValue.p_power(5, 0) == ONE_ABS
+
+
+def test_of_rational_accepts_exactly_the_powers_of_p():
+    assert ExactValue.of_rational(2, Fraction(1, 8)) == ExactValue.p_power(2, -3)
+    assert ExactValue.of_rational(3, 81) == ExactValue.p_power(3, 4)
+    assert ExactValue.of_rational(5, 1) == ONE_ABS
+    for p, x in ((2, Fraction(1, 3)), (2, 6), (3, Fraction(9, 2)), (5, 7)):
+        with pytest.raises(ValueError, match="not a power of"):
+            ExactValue.of_rational(p, x)
+    for x in (0, -4):
+        with pytest.raises(ValueError, match="not a power of 2"):
+            ExactValue.of_rational(2, x)
 
 
 def test_exact_value_algebra():
-    v = ExactValue.from_rational(Fraction(12, 5))
-    assert v == ExactValue({2: Fraction(2), 3: Fraction(1), 5: Fraction(-1)})
+    v = ExactValue.p_power(3, Fraction(-2, 5))
     assert (v ** Fraction(1, 2)).sqrt() == v ** Fraction(1, 4)
     assert v / v == ONE_ABS
     assert (v * ExactZero()).is_zero()
-    with pytest.raises(ValueError):
-        ExactValue.from_rational(Fraction(-1))
+    assert repr(v) == "|3^(-2/5)|" and repr(v / v) == repr(ONE_ABS) == "|1|"
 
 
 def test_exact_value_hash_agrees_with_eq_and_never_overflows():
-    quarter = ExactValue.from_rational(Fraction(1, 4))
+    quarter = ExactValue.of_rational(2, Fraction(1, 4))
     assert quarter == ApproxReal(0.25)
     assert hash(quarter) == hash(ApproxReal(0.25)) == hash(ExactValue.p_power(2, -2))
-    # Equal factors listed in another order: the float must not change.
-    fac = {2: Fraction(25), 17: Fraction(26, 3), 19: Fraction(-7)}
-    reordered = ExactValue(dict(reversed(fac.items())))
-    assert ExactValue(fac) == reordered
-    assert hash(ExactValue(fac)) == hash(reordered)
-    huge = ExactValue.from_rational(Fraction(2) ** 5000)
+    huge = ExactValue.of_rational(2, Fraction(2) ** 5000)
     assert huge == ExactValue.p_power(2, 5000)
     assert hash(huge) == hash(ExactValue.p_power(2, 5000))
-    mixed = ExactValue.from_rational(Fraction(6) ** 5000)
-    assert hash(mixed) == hash(ExactValue({3: 5000, 2: 5000}))
-    assert len({huge, mixed, ExactValue.p_power(2, 5000)}) == 2
+    assert len({huge, ExactValue.p_power(3, 5000), ExactValue.p_power(2, 5000)}) == 2
 
 
 def test_exact_and_approx_values_compare_past_the_float_range():
@@ -115,10 +120,10 @@ def test_integer_powers_convert_to_the_nearest_float():
     # exp(3 log 2) is 7.999999999999998, so these equalities used to fail.
     assert ExactValue.p_power(2, 3).to_float() == 8.0
     assert ExactValue.p_power(2, 3) == ApproxReal(8.0)
-    assert ExactValue.from_rational(8) == ApproxReal(8.0) == ExactValue.p_power(2, 3)
+    assert ExactValue.of_rational(2, 8) == ApproxReal(8.0) == ExactValue.p_power(2, 3)
     assert hash(ExactValue.p_power(2, 3)) == hash(ApproxReal(8.0))
-    assert ExactValue.from_rational(Fraction(1, 9)).to_float() == 1 / 9
-    assert ExactValue.from_rational(Fraction(125, 6)).to_float() == 125 / 6
+    assert ExactValue.of_rational(3, Fraction(1, 9)).to_float() == 1 / 9
+    assert ExactValue.p_power(5, -7).to_float() == 5 ** -7
     # Other exponents, and values past 2000 bits, go by the logarithm.
     assert math.isclose(ExactValue.p_power(2, Fraction(1, 2)).to_float(), math.sqrt(2))
     assert ExactValue.p_power(3, 1500) > ApproxReal(1e308)
@@ -128,8 +133,9 @@ def test_log_exponent():
     v = ExactValue.p_power(2, Fraction(-3))
     assert v.log_exponent(2, Fraction(1)) == 3
     assert v.log_exponent(2, Fraction(1, 2)) == 6
+    assert ONE_ABS.log_exponent(5, Fraction(1)) == 0
     with pytest.raises(ValueError):
-        (v * ExactValue.p_power(3, 1)).log_exponent(2, Fraction(1))
+        ExactValue.p_power(3, 1).log_exponent(2, Fraction(1))
 
 
 def test_approx_real():
@@ -145,59 +151,48 @@ def test_gauss_seminorm():
     # |2 + 4T|-style data: max(|a_i| r^i) exactly.
     v = gauss_seminorm(p2, [Fraction(2), Fraction(4)], Fraction(1, 8))
     assert v == ExactValue.p_power(2, -1)  # |2| = 1/2 beats |4|/8 = 1/32
-    assert gauss_seminorm(Place.trivial_q(), [1, 0, 3], Fraction(1, 2)) == ONE_ABS
+    assert trivial_seminorm([1, 0, 3], Fraction(1, 2)) == 1
+    assert trivial_seminorm([0, 1, 3], Fraction(3, 2)) == Fraction(9, 4)
     with pytest.raises(ZeroPolynomial):
         gauss_seminorm(p2, [0, 0], Fraction(1, 2))
-    with pytest.raises(PlaceError):
-        gauss_seminorm(Place.archimedean(), [1], Fraction(1, 2))
+    with pytest.raises(ZeroPolynomial):
+        trivial_seminorm([0], Fraction(1, 2))
+    with pytest.raises(ValueError, match="not a power of 2"):
+        gauss_seminorm(p2, [1], Fraction(1, 3))
+    for place in (Place.archimedean(), Place.trivial_q()):
+        with pytest.raises(PlaceError):
+            gauss_seminorm(place, [1], Fraction(1, 2))
 
 
 def test_hybrid_section_eval_converges():
     # As eps shrinks, |P(r^(1/eps))|^eps approaches the trivial seminorm.
-    want = gauss_seminorm(Place.trivial_q(), [1, 1], Fraction(1, 2)).to_float()
+    want = float(trivial_seminorm([1, 1], Fraction(1, 2)))
     errs = [abs(hybrid_section_eval([1, 1], Fraction(1, 2), eps) - want)
             for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000))]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
 
 
-# -- single-prime fast paths against the multi-prime path ---------------------
+# -- powers of one prime against Fraction arithmetic on the exponent -----------
 
 exponents = st.one_of(st.just(Fraction(0)),
                       st.fractions(min_value=-6, max_value=6, max_denominator=7))
 primes = st.sampled_from([2, 3, 5])
 
 
-def _with_witness(v):
-    """v * 7, built without arithmetic: 7 is a prime no operand uses, so
-    operations on such values take the general multi-prime path, and
-    the common factor changes no answer."""
-    return ExactValue({**v.factors, 7: 1})
-
-
-def _without_witness(v):
-    return {b: e for b, e in v.factors.items() if b != 7}
-
-
-def _invariant(v):
-    return all(e != 0 and type(e) is Fraction for e in v.factors.values())
-
-
-@given(primes, exponents, primes, exponents, exponents)
+@given(primes, exponents, exponents, exponents, primes)
 @settings(max_examples=300, deadline=None)
-def test_single_prime_ops_match_general_path(p, e, q, f, k):
-    # e or f equal to 0 gives an empty factor dict; q may differ from p;
-    # y = x**-1 makes the exponents of x*y cancel to 0.
-    x = ExactValue.p_power(p, e)
-    for y in (ExactValue.p_power(q, f), x ** -1, x):
-        xw, yw = _with_witness(x), _with_witness(y)
-        assert x.cmp(y) == xw.cmp(yw)
-        assert (x * y).factors == _without_witness(xw * y)
-        assert (x / y).factors == _without_witness(xw / y)
-        assert _invariant(x * y) and _invariant(x / y)
-    general = ExactValue({b: e * k for b, e in x.factors.items()})
-    assert (x ** k).factors == general.factors
-    assert _invariant(x ** k) and _invariant(x.sqrt())
+def test_ops_on_one_prime_act_on_the_exponent(p, e, f, k, q):
+    x, y = ExactValue.p_power(p, e), ExactValue.p_power(p, f)
+    assert x.cmp(y) == (e > f) - (e < f)
+    assert (x == y) == (e == f) and (x < y) == (e < f)
+    for got, want in ((x * y, e + f), (x / y, e - f), (x ** k, e * k),
+                      (x.sqrt(), e / 2)):
+        assert got.e == want and type(got.e) is Fraction
+        assert got.p == p and got == ExactValue.p_power(p, want)
+    # p^e = q^f for distinct primes only when e = f = 0.
+    if q != p:
+        assert (x == ExactValue.p_power(q, f)) == (e == f == 0)
 
 
 def test_prime_check_is_fast_and_bounded():

@@ -7,7 +7,7 @@ from conftest import dumbbell_point
 from schottky import Place, normalized_figure
 from schottky.exactnum import GaussianRational
 from schottky.moebius import Disc, ProjPoint
-from schottky.places import ApproxReal, ExactValue, ExactZero
+from schottky.places import ONE_ABS, ApproxReal, ExactValue, ExactZero
 from schottky.serialize import (
     MalformedInput,
     absvalue_from_json,
@@ -63,13 +63,17 @@ def test_place_roundtrip_and_aliases():
 
 def test_absvalue_roundtrip():
     for v in (ExactValue.p_power(2, Fraction(-3, 2)),
-              ExactValue.from_rational(Fraction(12, 5)),
-              ExactZero(), ApproxReal(1.25)):
+              ONE_ABS, ExactZero(), ApproxReal(1.25)):
         back = absvalue_from_json(absvalue_to_json(v, P2))
         assert back == v
     # A pure power of the place's prime serializes in log form.
     enc = absvalue_to_json(ExactValue.p_power(2, -3), P2)
     assert enc == {"kind": "exact_log", "q": "3", "p": 2, "eps": "1"}
+    # So does 1, a power of every prime; no other exact form is read.
+    assert absvalue_to_json(ONE_ABS, Place.padic(3, Fraction(1, 2))) == {
+        "kind": "exact_log", "q": "0", "p": 3, "eps": "1/2"}
+    with pytest.raises(MalformedInput, match="unknown value kind"):
+        absvalue_from_json({"kind": "exact_factors", "factors": {}})
 
 
 def test_disc_roundtrip():

@@ -279,10 +279,10 @@ def test_radii_off_the_lattice(eps):
 
 
 def test_radius_of_another_prime_is_refused():
-    fig = normalized_figure(dumbbell_point(),
-                            radii=[Fraction(1, 3), ExactValue.p_power(2, -1)])
-    with pytest.raises(ValueError, match="outside the value group"):
-        build_tree(fig)
+    # Where the radius is built: 1/3 is no power of 2.
+    with pytest.raises(ValueError, match="not a power of 2"):
+        normalized_figure(dumbbell_point(),
+                          radii=[Fraction(1, 3), ExactValue.p_power(2, -1)])
 
 
 def _translation_length_reference(pt, w):
