@@ -8,7 +8,6 @@ from .places import (
     ExactZero,
     Place,
     abs_value,
-    gauss_seminorm,
     hybrid_section_eval,
     trivial_seminorm,
 )

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .places import Place, hybrid_section_eval, trivial_seminorm
-from .moebius import MultiplierUnderflow, disc_shape
+from .moebius import MultiplierUnderflow, NotLoxodromic, disc_shape
 from .figures import (
     BudgetExceeded,
     conjugacy_classes_upto,
@@ -44,9 +44,10 @@ EXIT_UNSUPPORTED = 5
 
 # Exit code of each answer a handler reports, and of each refusal.
 _ANSWERS = {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
+# A non-loxodromic element proves that the group is not Schottky: "no".
 _REFUSALS = {MalformedInput: EXIT_MALFORMED, BudgetExceeded: EXIT_BUDGET,
              ArchimedeanUnsupported: EXIT_UNSUPPORTED,
-             MultiplierUnderflow: EXIT_UNSUPPORTED}
+             MultiplierUnderflow: EXIT_UNSUPPORTED, NotLoxodromic: EXIT_NO}
 
 
 def _emit(obj) -> None:

@@ -332,9 +332,9 @@ class SchottkyFigure:
     def g(self) -> int:
         return len(self.generators)
 
-    def disc(self, i: int, eps: int) -> Disc:
-        """B+(gamma_i^eps), i one-based."""
-        return (self.plus_discs if eps > 0 else self.minus_discs)[i - 1]
+    def disc(self, i: int, sign: int) -> Disc:
+        """B+(gamma_i^sign), i one-based."""
+        return (self.plus_discs if sign > 0 else self.minus_discs)[i - 1]
 
     def disc_for_letter(self, letter: int) -> Disc:
         return self.disc(abs(letter), 1 if letter > 0 else -1)
@@ -506,8 +506,9 @@ def normalized_figure(pt: SchottkyPoint,
 
     In the chart where generator i fixes (0, infinity) the window is
     (|beta_i| * max |other fixed points|, min |other fixed points|);
-    the default radius is the exact log-midpoint (geometric mean).
-    Raises NotInSB at the first empty window.  Requires a
+    the default radius is the exact log-midpoint (geometric mean).  Radii
+    are normalized values; the witness prints each in the place's unit,
+    r^eps.  Raises NotInSB at the first empty window.  Requires a
     non-archimedean place, except for g = 1 where the concentric
     construction works everywhere.
     """
@@ -537,7 +538,8 @@ def normalized_figure(pt: SchottkyPoint,
             pt.place, phi_inv,
             Disc(GaussianRational(0), absb / r, chart="inv")))
     fig = SchottkyFigure(pt.place, pt.generators(), tuple(plus), tuple(minus),
-                         witness="normalized(" + ",".join(map(repr, chosen)) + ")",
+                         witness="normalized(" + ",".join(
+                             repr(r ** pt.place.eps) for r in chosen) + ")",
                          point=pt)
     return validate_figure(fig)
 
@@ -818,8 +820,8 @@ def fundamental_domain_report(fig: SchottkyFigure) -> dict:
         "genus": fig.g,
         "witness": fig.witness,
         "boundary_discs": [
-            {"generator": i, "sign": eps, "disc": disc_to_json(fig.place, d)}
-            for i, eps, d in fig.all_discs()
+            {"generator": i, "sign": sign, "disc": disc_to_json(fig.place, d)}
+            for i, sign, d in fig.all_discs()
         ],
         "identifications": [
             {"generator": i,

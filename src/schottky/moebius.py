@@ -8,12 +8,14 @@ disc geometry runs in machine floats with a declared tolerance band
 comparison goes through the kernels ``ball_inside`` and ``balls_apart``, over
 closed balls B[a, r] = {|z - a| <= r} and open ones B(a, r) = {|z - a| < r}.
 
-At a p-adic place the disc kernel measures x by its log_p magnitude
-L(x) = -v_p(x) eps (-inf for 0), |x| = p^L(x), as the integer U L(x) for a
-unit U that clears every denominator in sight.  L is strictly increasing in
-|x|, so every ultrametric comparison keeps its form on L, and products of
-absolute values become sums.  A radius must be a power of p; the disc
-kernel refuses the trivial place.
+Absolute values are the place's normalized ones (`places.abs_value`), so
+no kernel here reads the place exponent eps.  At a p-adic place the disc
+kernel measures x by its log_p magnitude L(x) = -v_p(x) (-inf for 0),
+|x| = p^L(x), as the integer U L(x) for a unit U that clears every
+denominator in sight.  L is strictly increasing in |x|, so every
+ultrametric comparison keeps its form on L, and products of absolute
+values become sums.  A radius must be a power of p; the disc kernel
+refuses the trivial place.
 """
 
 from __future__ import annotations
@@ -279,16 +281,16 @@ def is_loxodromic(place: Place, m: Moebius) -> bool:
     """Whether m has an attracting/repelling pair at the place.
 
     Non-archimedean: the exact test |det| < |tr|^2 (`multiplier_valuation`).
-    Archimedean: the eigenvalue moduli must differ by more than a 1e-12
-    relative margin.
+    Archimedean: m is elliptic or parabolic iff tr^2/det lies in [0, 4].
+    On the integer numerators t = s tr and dn = s^2 det that holds iff
+    x = t^2 conj(dn) is real with 0 <= x <= 4 |dn|^2; exact.
     """
     if place.is_nonarchimedean:
         return multiplier_valuation(place, m) > 0
-    ca, cb, cc, cd = m.to_complex()
-    tr, det = ca + cd, ca * cd - cb * cc
-    s = cmath.sqrt(tr * tr - 4 * det)
-    r1, r2 = abs((tr + s) / 2), abs((tr - s) / 2)
-    return abs(r1 - r2) > ARCH_TOL * max(r1, r2, 1e-300)
+    (t, ti), (dn, di) = m._t(), m._dn
+    xr, xi = t * t - ti * ti, 2 * t * ti
+    x, y = xr * dn + xi * di, xi * dn - xr * di
+    return bool(y) or not 0 <= x <= 4 * (dn * dn + di * di)
 
 
 def multiplier_valuation(place: Place, m: Moebius) -> int:
@@ -504,13 +506,12 @@ _NOT_REAL = "non-archimedean places are defined on rational values only"
 def _scale(place: Place, *radii: AbsValue):
     """(of, radii, value): of(x) is the magnitude q L(x) of an integer x, an
     int (-inf for 0), radii the given radii p^e as the magnitudes q e, and
-    value(k) the radius of magnitude k.  The unit q = 2 den(eps) (geometric
-    means of p-adic absolute values lie in (1/q)Z) grows to the lcm with the
+    value(k) the radius of magnitude k.  The unit q = 2 (geometric means of
+    p-adic absolute values lie in (1/2)Z) grows to the lcm with the
     denominator of each radius exponent that it does not clear."""
     if place.kind != "padic":
         raise PlaceError("the disc kernel needs a p-adic place")
-    p, eps = place.p, place.eps
-    q, exps = 2 * eps.denominator, []
+    p, q, exps = place.p, 2, []
     for r in radii:
         if r.__class__ is not ExactValue or r.p != p and r.e:
             raise ValueError(f"disc radius {r!r} is not a power of {p}")
@@ -518,8 +519,7 @@ def _scale(place: Place, *radii: AbsValue):
         if q % d:
             q = math.lcm(q, d)
         exps.append((n, d))
-    unit = q // eps.denominator * eps.numerator
-    return (lambda x: -padic_valuation(x, p) * unit if x else -math.inf,
+    return (lambda x: -padic_valuation(x, p) * q if x else -math.inf,
             [n * (q // d) for n, d in exps],
             lambda k: ExactValue(p, Fraction(k, q)))
 

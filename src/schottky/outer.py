@@ -175,8 +175,8 @@ def _normalize_triples(place: Place,
         # Rank 1 only needs (0, infinity), and conjugation keeps beta.
         return SchottkyPoint(place, (
             replace(t1, alpha=ProjPoint.finite(0), alpha_prime=INF),))
-    eps = moebius_to_zero_inf_one(*ref)
-    out = [KoebeTriple(eps.apply(t.alpha), eps.apply(t.alpha_prime),
+    phi = moebius_to_zero_inf_one(*ref)
+    out = [KoebeTriple(phi.apply(t.alpha), phi.apply(t.alpha_prime),
                        t.beta, t.approximate) for t in triples]
     return SchottkyPoint(place, tuple(out))
 

@@ -4,6 +4,10 @@ A Place is an absolute value on Q (possibly raised to a power eps):
 archimedean |.|^eps with 0 < eps <= 1, p-adic |.|_p^eps with eps > 0,
 or the trivial absolute value on Q.
 
+`abs_value` returns the normalized value, |x| or |x|_p, at every eps: the
+places |.|^eps rescale one norm, so whether discs meet cannot depend on
+eps.  eps is a unit of measure, applied where a value is printed.
+
 Absolute values of nonzero elements at a p-adic place are represented
 *exactly* as p^e with a rational exponent e, so comparisons, products and
 powers act on e and no precision is ever lost.  Archimedean values are
@@ -174,7 +178,7 @@ class ExactValue(AbsValue):
     """The positive real p^e: a prime p and a ``Fraction`` exponent e.
 
     Every nonzero absolute value at a p-adic place has this form,
-    |x|_p^eps = p^(-v_p(x) eps), and so do its products, quotients and
+    |x|_p = p^(-v_p(x)), and so do its products, quotients and
     rational powers, which act on e alone.  A value with e = 0 is 1 and
     counts as a power of every prime.  ``==`` is total: by unique
     factorization p^e = q^f for distinct primes only when e = f = 0.
@@ -277,11 +281,11 @@ class ExactValue(AbsValue):
         log, log_x = self._log(), math.log(x) if x > 0 else -math.inf
         return (log > log_x) - (log < log_x)
 
-    def log_exponent(self, p: int, eps: Fraction) -> Fraction:
-        """The q with value p^(-q*eps); ValueError if it is no power of p."""
+    def log_exponent(self, p: int) -> Fraction:
+        """The q with value p^(-q); ValueError if it is no power of p."""
         if self.p != p and self.e:
             raise ValueError(f"{self!r} is not a power of {p}")
-        return -self.e / Fraction(eps)
+        return -self.e
 
     def __repr__(self):
         return f"|{self.p}^({self.e})|" if self.e else "|1|"
@@ -338,14 +342,15 @@ class ApproxReal(AbsValue):
 
 
 def abs_value(place: Place, x) -> AbsValue:
-    """The absolute value of a (Gaussian) rational at the given place."""
+    """The normalized absolute value of a (Gaussian) rational at the place:
+    the float |x| at the archimedean place, p^(-v_p(x)) at a p-adic one."""
     z = as_gaussian(x)
     if z is None:
         raise TypeError(f"cannot take absolute value of {x!r}")
     if place.kind == "archimedean":
         if z.is_zero():
             return ZERO_ABS
-        return ApproxReal(math.sqrt(float(z.norm2())) ** float(place.eps))
+        return ApproxReal(math.sqrt(float(z.norm2())))
     if not z.is_rational():
         raise ImaginaryAtNonArch(
             "non-archimedean places are defined on rational values only"
@@ -355,39 +360,25 @@ def abs_value(place: Place, x) -> AbsValue:
         if q == 0:
             return ZERO_ABS
         v = padic_valuation(q, place.p)
-        return ExactValue.p_power(place.p, -v * place.eps)
+        return ExactValue(place.p, -v)
     if place.kind == "trivial_q":
         return ZERO_ABS if q == 0 else ONE_ABS
     raise PlaceError(f"unknown place kind {place.kind}")
 
 
 # ---------------------------------------------------------------------------
-# Gauss seminorms and hybrid sections
+# The trivial Gauss seminorm and hybrid sections
 # ---------------------------------------------------------------------------
-
-
-def gauss_seminorm(place: Place, coeffs: Sequence[Rat], r: Rat) -> AbsValue:
-    """The Gauss-point seminorm max_i |a_i| r^i of P(T) = sum a_i T^i,
-    ``coeffs`` = a_0, a_1, ..., at a p-adic place and r a power of p."""
-    if place.kind != "padic":
-        raise PlaceError("gauss_seminorm is defined at p-adic places")
-    _check_seminorm(coeffs, r)
-    rv = ExactValue.of_rational(place.p, r)
-    return max(abs_value(place, c) * rv**i for i, c in enumerate(coeffs) if c)
 
 
 def trivial_seminorm(coeffs: Sequence[Rat], r: Rat) -> Fraction:
     """The Gauss seminorm max r^i over the nonzero a_i at the trivial
     absolute value, where every nonzero a_i has absolute value 1."""
-    _check_seminorm(coeffs, r)
-    return max(Fraction(r) ** i for i, c in enumerate(coeffs) if c)
-
-
-def _check_seminorm(coeffs: Sequence[Rat], r: Rat) -> None:
     if r <= 0:
         raise ValueError("radius must be positive")
     if all(c == 0 for c in coeffs):
         raise ZeroPolynomial("seminorm of the zero polynomial")
+    return max(Fraction(r) ** i for i, c in enumerate(coeffs) if c)
 
 
 def hybrid_section_eval(coeffs: Sequence[Rat], r: Rat, eps: Rat) -> float:

@@ -112,15 +112,18 @@ def place_from_json(obj) -> Place:
 
 
 def absvalue_to_json(v: AbsValue, place: Place) -> dict:
+    """A normalized value in the place's unit: ``approx`` prints |x|^eps,
+    ``exact_log`` the q of |x|_p = p^(-q) and eps, for p^(-q eps)."""
     if isinstance(v, ExactZero):
         return {"kind": "zero"}
     if isinstance(v, ApproxReal):
-        return {"kind": "approx", "value": format(v.value, ".17g")}
-    return {"kind": "exact_log", "q": rat_to_json(v.log_exponent(place.p, place.eps)),
+        return {"kind": "approx", "value": format(v.value ** float(place.eps), ".17g")}
+    return {"kind": "exact_log", "q": rat_to_json(v.log_exponent(place.p)),
             "p": place.p, "eps": rat_to_json(place.eps)}
 
 
 def absvalue_from_json(obj, where: str = "value") -> AbsValue:
+    """The normalized value (an ``approx`` value is read at eps = 1)."""
     kind = _get(obj, "kind", where)
     if kind == "zero":
         return ExactZero()
@@ -128,8 +131,7 @@ def absvalue_from_json(obj, where: str = "value") -> AbsValue:
         return ApproxReal(float(_get(obj, "value", where)))
     if kind == "exact_log":
         q = rat_from_json(_get(obj, "q", where), where)
-        eps = rat_from_json(obj.get("eps", "1"), where)
-        return ExactValue.p_power(int(_get(obj, "p", where)), -q * eps)
+        return ExactValue(int(_get(obj, "p", where)), -q)
     raise MalformedInput(f"{where}: unknown value kind {kind!r}")
 
 

@@ -2,11 +2,12 @@
 
 The boundary discs of a validated figure have Shilov boundary points
 eta_{a,r}, which live in the tree of discs of the projective line.  Their
-convex hull is a finite metric tree with exact rational edge lengths
-(in units eps*ln p); gluing the leaf for gamma_i with the leaf for
-gamma_i^{-1} produces the canonical Betti-g metric graph of the quotient
-curve, whose translation lengths are read off the tree.  Everything
-here is exact -- floats appear only in to_float().
+convex hull is a finite metric tree with exact rational edge lengths,
+built on normalized radii p^(-q); the place exponent eps enters only as
+the unit of a `MetricLength`, q eps ln p.  Gluing the leaf for gamma_i
+with the leaf for gamma_i^{-1} produces the canonical Betti-g metric
+graph of the quotient curve, whose translation lengths are read off the
+tree.  Everything here is exact -- floats appear only in to_float().
 """
 
 from __future__ import annotations
@@ -198,14 +199,14 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
     node is its least strict container, and an edge measures the drop
     in log-radius.  Labels (i, sign) mark where B+(gamma_i^sign) sits.
 
-    It runs on integer depths: p^(-q eps) has depth q U, with the unit U
+    It runs on integer depths: p^(-q) has depth q U, with the unit U
     clearing the denominators of the leaves' q, and |a - b| has depth
     v_p(a - b) U.  A disc of depth k about a holds b iff |a - b| has depth
     >= k, and a join is the least of three depths.
     """
     place = fig.place
     _require_padic(place)
-    p, eps = place.p, place.eps
+    p = place.p
 
     labels, centres, qs = [], [], []
     for i, sign, d in fig.all_discs():
@@ -214,7 +215,7 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
         _kind, c, r = disc_shape(place, d)
         if not isinstance(r, ExactValue):
             raise ArchimedeanUnsupported("exact radii required")
-        qs.append(r.log_exponent(p, eps))  # ValueError unless r is p^e
+        qs.append(r.log_exponent(p))  # ValueError unless r is p^e
         labels.append((i, sign))
         centres.append(c)
     unit = math.lcm(*(q.denominator for q in qs))
@@ -240,14 +241,14 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
     points.sort(key=lambda pt: pt[1])  # radius descending, stable
     nodes: dict[int, TreeNode] = {}
     for nid, (a, k, plabels) in enumerate(points):
-        n = nodes[nid] = TreeNode(nid, centres[a], ExactValue.p_power(
-            p, -Fraction(k, unit) * eps), Fraction(k, unit), labels=plabels)
+        q = Fraction(k, unit)
+        n = nodes[nid] = TreeNode(nid, centres[a], ExactValue(p, -q), q, labels=plabels)
         # Parent = the smallest node strictly containing this one.
         holders = [m for m in range(nid) if points[m][1] < k
                    and apart[a, points[m][0]] >= points[m][1]]
         if holders:
             n.parent = max(holders, key=lambda m: points[m][1])
-            n.edge_length = MetricLength(n.q - nodes[n.parent].q, p, eps)
+            n.edge_length = MetricLength(n.q - nodes[n.parent].q, p, place.eps)
             nodes[n.parent].children.append(nid)
 
     roots = [n.id for n in nodes.values() if n.parent is None]
@@ -391,7 +392,7 @@ def glue_skeleton(tree: MetricTree) -> MetricGraph:
 def translation_length(pt: SchottkyPoint, w: ReducedWord) -> MetricLength:
     """Displacement of the word's matrix on the tree: -log of |multiplier|.
 
-    Exact: |beta| = p^(-q eps) with q the `multiplier_valuation` of the
+    Exact: |beta| = p^(-q) with q the `multiplier_valuation` of the
     word's matrix.  Works for any p-adic point and nonempty word; the
     check of the tree lengths.
     """

@@ -464,7 +464,7 @@ def test_criterion_10_cross_ratio_tree_bridge():
             a, b, c, d = vals
             cr = cross_ratio(*(ProjPoint.finite(GaussianRational(x))
                                for x in vals))
-            q_cr = abs_value(place, cr).log_exponent(place.p, place.eps)
+            q_cr = abs_value(place, cr).log_exponent(place.p)
 
             tiny = ExactValue.p_power(place.p, Fraction(-40))
 
@@ -472,7 +472,7 @@ def test_criterion_10_cross_ratio_tree_bridge():
                 j = shilov_join(place,
                                 Disc(GaussianRational(x), tiny),
                                 Disc(GaussianRational(y), tiny))
-                return j.radius.log_exponent(place.p, place.eps)
+                return j.radius.log_exponent(place.p)
 
             # Gromov-product identity: the valuation of the cross-ratio
             # is a signed combination of join heights, i.e. the signed

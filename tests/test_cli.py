@@ -241,6 +241,14 @@ def test_act_keeps_the_approximate_flag(capsys):
     assert "approximate" not in rep["point"]["koebe"][0]
 
 
+def test_act_on_a_non_loxodromic_product_answers_no(capsys):
+    # On the rejected point s4' needs the fixed points of gamma_1 gamma_2,
+    # which is not loxodromic: the group is not Schottky.
+    code, rep = run(capsys, "act", "--json", REJECTED, "--word", "s4'")
+    assert code == EXIT_NO
+    assert list(rep) == ["error"] and "not loxodromic" in rep["error"]
+
+
 def test_hybrid(capsys):
     payload = json.dumps({"r": ["1/2", "1/3"], "fixed": ["-2"]})
     code, rep = run(capsys, "hybrid", "--json", payload,

@@ -5,11 +5,11 @@ with ``tests/golden/<name>.stdout`` and its exit code with
 ``tests/golden/exit_codes.json``.  A refactor that keeps the CLI's
 behaviour keeps these files as they are.
 
-The ``hybrid_*`` goldens pin the archimedean ``arch_status`` column as
-it is today, known defects included: "unknown" on every g = 2 and
-g = 3 row, and an "error:" row at eps < 1 for g = 1.  Both come from
-eps leaking into the archimedean disc geometry (ROADMAP item 2).  The
-change that mends item 2 regenerates those files, and says so.
+The ``hybrid_*`` goldens pin the archimedean ``arch_status`` column.
+The geometry runs on normalized absolute values, so a row's status is
+``is_in_SB`` at eps = 1 on that row's multipliers r_i^(1/eps).  The
+"unknown" rows of g = 2 and g = 3 at eps = 1 and 1/2 are crowded points
+that the float-proposed Ford search does not certify (ROADMAP item 1).
 
 To regenerate every golden file after an intended output change::
 

@@ -257,7 +257,7 @@ def _matrix(rng, real=True):
 def _radius(rng, place: Place) -> AbsValue:
     if place.is_archimedean:
         return ApproxReal(rng.choice([0.25, 1.0, 3.0]) * 2.0 ** rng.randint(-30, 30))
-    # denominators 3 and 5 lie off the 1/(2 den eps) lattice
+    # denominators 3 and 5 lie off the (1/2)Z lattice of the unit q = 2
     e = Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 5]))
     return ExactValue.p_power(place.p, e)
 

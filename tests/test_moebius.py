@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,50 @@ def test_not_loxodromic():
         matrix_to_koebe(P2, moebius(0, -1, 1, 0))
     with pytest.raises(NotLoxodromic):
         matrix_to_koebe(Place.trivial_q(), moebius(1, Fraction(-2, 3), 1, 0))
+
+
+def test_archimedean_loxodromy_is_exact():
+    arch = Place.archimedean()
+    i = GaussianRational(0, 1)
+    # tr^2/det = 4: parabolic, though rounding in tr^2 - 4 det splits the
+    # float eigenvalue moduli by about 1e-8.
+    assert not is_loxodromic(arch, moebius(Fraction(2, 3), Fraction(-4, 3),
+                                           Fraction(4, 3), -2))
+    assert not is_loxodromic(arch, moebius(1, 1, 0, 1))  # parabolic
+    assert not is_loxodromic(arch, moebius(i, 0, 0, 1))  # elliptic, tr^2/det = 2
+    assert not is_loxodromic(arch, moebius(0, -1, 1, 0))  # tr = 0
+    assert is_loxodromic(arch, moebius(2, 0, 0, 1))
+    assert is_loxodromic(arch, moebius(-2, 0, 0, 1))  # tr^2/det = -1/2
+    assert is_loxodromic(arch, moebius(2 * i, 0, 0, 1))  # tr^2/det not real
+
+
+def _float_loxodromy(m: Moebius):
+    """The eigenvalue-moduli test in floats: None inside its doubtful band."""
+    ca, cb, cc, cd = m.to_complex()
+    tr, det = ca + cd, ca * cd - cb * cc
+    s = cmath.sqrt(tr * tr - 4 * det)
+    r1, r2 = abs((tr + s) / 2), abs((tr - s) / 2)
+    gap = abs(r1 - r2) / max(r1, r2)
+    return True if gap > 1e-6 else False if gap < 1e-12 else None
+
+
+def test_archimedean_loxodromy_agrees_with_floats_off_their_band():
+    arch, rng = Place.archimedean(), seeded(4242)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        gaussian = rng.random() < 0.3
+        entries = [GaussianRational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                    rng.randint(-2, 2) if gaussian else 0)
+                   for _ in range(4)]
+        try:
+            m = Moebius(*entries)
+        except ValueError:
+            continue
+        want = _float_loxodromy(m)
+        if want is not None:
+            assert is_loxodromic(arch, m) is want
+            seen[want] += 1
+    assert min(seen.values()) > 100
 
 
 # -- discs -------------------------------------------------------------------

@@ -15,7 +15,6 @@ from schottky.places import (
     PlaceError,
     ZeroPolynomial,
     abs_value,
-    gauss_seminorm,
     hybrid_section_eval,
     trivial_seminorm,
 )
@@ -42,9 +41,10 @@ def test_abs_value_examples():
     assert abs_value(p2, Fraction(4)) == ExactValue.p_power(2, -2)
     assert abs_value(p2, Fraction(3, 8)) == ExactValue.p_power(2, 3)
     assert abs_value(p2, 0).is_zero()
-    # eps scales the exponent
+    # The value is normalized at every eps: eps is only the unit it prints in.
     assert abs_value(Place.padic(2, Fraction(1, 2)), Fraction(4)) == \
-        ExactValue.p_power(2, -1)
+        ExactValue.p_power(2, -2)
+    assert abs_value(Place.archimedean(Fraction(1, 10)), Fraction(-3)).to_float() == 3
     assert abs_value(Place.trivial_q(), Fraction(100, 7)) == ONE_ABS
     with pytest.raises(ImaginaryAtNonArch):
         abs_value(p2, GaussianRational(1, 1))
@@ -131,11 +131,10 @@ def test_integer_powers_convert_to_the_nearest_float():
 
 def test_log_exponent():
     v = ExactValue.p_power(2, Fraction(-3))
-    assert v.log_exponent(2, Fraction(1)) == 3
-    assert v.log_exponent(2, Fraction(1, 2)) == 6
-    assert ONE_ABS.log_exponent(5, Fraction(1)) == 0
+    assert v.log_exponent(2) == 3
+    assert ONE_ABS.log_exponent(5) == 0
     with pytest.raises(ValueError):
-        ExactValue.p_power(3, 1).log_exponent(2, Fraction(1))
+        ExactValue.p_power(3, 1).log_exponent(2)
 
 
 def test_approx_real():
@@ -146,22 +145,13 @@ def test_approx_real():
         ApproxReal(-1.0)
 
 
-def test_gauss_seminorm():
-    p2 = Place.padic(2)
-    # |2 + 4T|-style data: max(|a_i| r^i) exactly.
-    v = gauss_seminorm(p2, [Fraction(2), Fraction(4)], Fraction(1, 8))
-    assert v == ExactValue.p_power(2, -1)  # |2| = 1/2 beats |4|/8 = 1/32
+def test_trivial_seminorm():
     assert trivial_seminorm([1, 0, 3], Fraction(1, 2)) == 1
     assert trivial_seminorm([0, 1, 3], Fraction(3, 2)) == Fraction(9, 4)
     with pytest.raises(ZeroPolynomial):
-        gauss_seminorm(p2, [0, 0], Fraction(1, 2))
-    with pytest.raises(ZeroPolynomial):
         trivial_seminorm([0], Fraction(1, 2))
-    with pytest.raises(ValueError, match="not a power of 2"):
-        gauss_seminorm(p2, [1], Fraction(1, 3))
-    for place in (Place.archimedean(), Place.trivial_q()):
-        with pytest.raises(PlaceError):
-            gauss_seminorm(place, [1], Fraction(1, 2))
+    with pytest.raises(ValueError, match="radius must be positive"):
+        trivial_seminorm([1], 0)
 
 
 def test_hybrid_section_eval_converges():

@@ -209,7 +209,7 @@ def _build_tree_reference(fig):
 
     def exponent(r):
         try:
-            return r.log_exponent(place.p, place.eps)
+            return r.log_exponent(place.p)
         except ValueError as e:
             raise ValueError(f"disc radius {r!r} is outside the value group") from e
 
@@ -264,11 +264,12 @@ def test_tree_equals_the_build_on_absolute_values(seed, g, p, eps):
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(2, 3)])
 def test_radii_off_the_lattice(eps):
-    # Radii 2^(-1/3) and 2^(-2/5): neither lies on the 1/(2 den eps)
-    # lattice of the default log-midpoint radii.
+    # Radii 2^(-1/3) and 2^(-2/5): neither lies on the (1/2)Z lattice of
+    # the default log-midpoint exponents.  Radii are normalized values, so
+    # they are the same at every eps.
     pt = schottky_point(Place.padic(2, eps), [Fraction(4), Fraction(4)],
                         [Fraction(-1)])
-    radii = [ExactValue.p_power(2, -eps / 3), ExactValue.p_power(2, -2 * eps / 5)]
+    radii = [ExactValue.p_power(2, Fraction(-1, 3)), ExactValue.p_power(2, Fraction(-2, 5))]
     tree = _same_tree(normalized_figure(pt, radii=radii))
     assert tree.unit == 15
     assert tree.nodes[tree.leaf_of[1, 1]].q == Fraction(1, 3)
@@ -292,7 +293,7 @@ def _translation_length_reference(pt, w):
     absdet, abstr = abs_value(place, m.det()), abs_value(place, m.tr())
     if not abstr * abstr > absdet:
         raise NotLoxodromic(f"{w!r}")
-    return MetricLength((absdet / (abstr * abstr)).log_exponent(place.p, place.eps),
+    return MetricLength((absdet / (abstr * abstr)).log_exponent(place.p),
                         place.p, place.eps)
 
 
