@@ -24,6 +24,7 @@ from .places import Place, hybrid_section_eval, trivial_seminorm
 from .moebius import MultiplierUnderflow, NotLoxodromic, disc_shape
 from .figures import (
     BudgetExceeded,
+    FigureInvariantError,
     conjugacy_classes_upto,
     is_in_SB,
     is_schottky,
@@ -158,7 +159,14 @@ def cmd_limitset(args) -> int:
     if sb.status != "yes":
         _emit({"command": "limitset", "is_in_SB": sb.status})
         return _ANSWERS[sb.status]
-    samp = limit_sample(sb.figure, args.depth, budget=args.budget)
+    try:
+        samp = limit_sample(sb.figure, args.depth, budget=args.budget)
+    except FigureInvariantError as e:  # floats could not certify a nesting
+        if pt.place.is_nonarchimedean:
+            raise
+        _emit({"command": "limitset", "depth": args.depth, "is_in_SB": "yes",
+               "limit_set": "unknown", "word": list(e.word), "reason": str(e)})
+        return EXIT_UNKNOWN
     if pt.place.is_archimedean:
         svg = _svg_limit_set(samp)
         if args.out:

@@ -62,6 +62,9 @@ def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
+_F0 = Fraction(0)
+
+
 class GaussianRational:
     """An element a + b*i with a, b exact rationals.
 
@@ -72,7 +75,7 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Rat = 0, im: Rat = 0):
+    def __init__(self, re: Rat = _F0, im: Rat = _F0):
         object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
         object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
@@ -193,9 +196,6 @@ class GaussianRational:
     def from_complex(z: complex) -> "GaussianRational":
         """Exact rational representation of a machine complex number."""
         return GaussianRational(Fraction(z.real), Fraction(z.imag))
-
-
-_F0 = Fraction(0)
 
 
 def _gq(re: Fraction, im: Fraction) -> GaussianRational:

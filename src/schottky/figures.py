@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -26,6 +26,7 @@ from .moebius import (
     KoebeTriple,
     Moebius,
     ProjPoint,
+    _Balls,
     disc_shape,
     disc_subset,
     discs_disjoint,
@@ -71,7 +72,12 @@ class DiscsNotDisjoint(ValueError):
 
 
 class FigureInvariantError(ValueError):
-    """Mapping property of a candidate figure fails."""
+    """Mapping property of a candidate figure fails, or the disc of
+    ``word`` is not certified inside its prefix's."""
+
+    def __init__(self, message: str, word: Optional[tuple[int, ...]] = None):
+        self.word = word
+        super().__init__(message)
 
 
 class BudgetExceeded(RuntimeError):
@@ -98,6 +104,13 @@ class ReducedWord:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ReducedWord is immutable")
+
+    @staticmethod
+    def _of(letters: tuple[int, ...]) -> "ReducedWord":
+        """The word of letters already known to be reduced, unchecked."""
+        w = object.__new__(ReducedWord)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     @staticmethod
     def reduce(letters: Iterable[int]) -> "ReducedWord":
@@ -771,9 +784,12 @@ def limit_sample(fig: SchottkyFigure, depth: int,
                  budget: int = 10 ** 6) -> LimitSample:
     """Enumerate B+(w) for all reduced words up to the given depth.
 
-    Shares Moebius prefix products along the depth-first enumeration,
-    verifies prefix nesting as it goes, and fits the radius decay pair
-    (R = max generator-disc radius, c = max depth-2 contraction).
+    Level n comes from level n - 1 one generator at a time, B+(x u) =
+    g_x(B+(u)), with no Moebius products; at a p-adic place on the integer
+    disc kernel of `moebius`.  Words run in lexicographic order (letters
+    1..g, -1..-g).  B+(w) must lie in B+(w[:-1]), or FigureInvariantError
+    names w.  Fits the radius decay pair (R = max generator-disc radius,
+    c = max depth-2 contraction).
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -782,23 +798,32 @@ def limit_sample(fig: SchottkyFigure, depth: int,
         raise BudgetExceeded(
             f"{_disc_count(g, depth)} discs exceed budget {budget}")
     alphabet = [i for i in range(1, g + 1)] + [-i for i in range(1, g + 1)]
-    levels: dict[int, list[tuple[ReducedWord, Disc]]] = {
-        n: [] for n in range(1, depth + 1)}
-
-    def rec(prefix: Moebius, word: tuple[int, ...], parent: Optional[Disc]):
-        level = len(word) + 1
-        for letter in alphabet:
-            if word and word[-1] == -letter:
-                continue
-            d = image_of_disc(fig.place, prefix, fig.disc_for_letter(letter))
-            if parent is not None and disc_subset(fig.place, d, parent) is not True:
-                raise FigureInvariantError(
-                    f"word disc not nested inside its prefix at {word + (letter,)}")
-            levels[level].append((ReducedWord(word + (letter,)), d))
-            if level < depth:
-                rec(prefix * fig.gen(letter), word + (letter,), d)
-
-    rec(IDENTITY, (), None)
+    gens = [fig.gen(x) for x in alphabet]
+    first = [fig.disc_for_letter(x) for x in alphabet]
+    if fig.place.is_archimedean:
+        image, nested = partial(image_of_disc, fig.place), partial(disc_subset, fig.place)
+        as_disc = None
+    else:  # integers in the unit of the figure's radii
+        balls = _Balls(fig.place, *(d.radius for d in first))
+        gens, first = [balls.matrix(f) for f in gens], [balls.ball(d) for d in first]
+        image, nested, as_disc = balls.image, balls.subset, balls.disc
+    gens = dict(zip(alphabet, gens))
+    walk = [list(zip([(x,) for x in alphabet], first))]
+    for _ in range(1, depth):
+        by_word, level = dict(walk[-1]), []
+        for v, parent in walk[-1]:
+            for y in alphabet:
+                if y == -v[-1]:
+                    continue
+                w = v + (y,)
+                d = image(gens[w[0]], by_word[w[1:]])
+                if nested(d, parent) is not True:
+                    raise FigureInvariantError(
+                        f"word disc not nested inside its prefix at {w}", w)
+                level.append((w, d))
+        walk.append(level)
+    levels = {n: [(ReducedWord._of(w), as_disc(d) if as_disc else d) for w, d in level]
+              for n, level in enumerate(walk, start=1)}
 
     # Radius decay is fitted in spherical size, which is chart-independent:
     # there may be no rational chart in which every disc avoids infinity.

@@ -16,6 +16,14 @@ denominator in sight.  L is strictly increasing in |x|, so every
 ultrametric comparison keeps its form on L, and products of absolute
 values become sums.  A radius must be a power of p; the disc kernel
 refuses the trivial place.
+
+The kernel holds a disc as integers (n, m, k, inv): centre n/m in lowest
+terms (m > 0), radius magnitude k in the unit U = lcm(2, denominators of
+the radius exponents), and the chart.  A matrix is (a, b, c, d, det), its
+numerators and their determinant's magnitude, so images never leave the
+unit: a walk over images (`figures.limit_sample`) fixes U once and builds
+`Disc`s on output.  At a p-adic place `image_of_disc`, `disc_shape` and the
+ball tests are wrappers over it.
 """
 
 from __future__ import annotations
@@ -24,9 +32,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
-from .exactnum import ZERO, GaussianRational, as_gaussian, padic_valuation
+from .exactnum import GaussianRational, as_gaussian, padic_valuation
 from .places import (
     AbsValue,
     ApproxReal,
@@ -491,64 +500,117 @@ def image_of_disc(place: Place, f: Moebius, disc: Disc) -> Disc:
     Raises PoleInsideDisc when the image contains both 0 and infinity
     (then it is a disc in neither chart).
     """
-    g = f if disc.chart == "std" else f * INVERSION
     if place.is_nonarchimedean:
-        return _image_nonarch(place, g, disc)
-    return _image_arch(g, disc)
+        balls = _Balls(place, disc.radius)
+        return balls.disc(balls.image(balls.matrix(f), balls.ball(disc)))
+    return _image_arch(f if disc.chart == "std" else f * INVERSION, disc)
 
 
-# -- magnitudes at a non-archimedean place -------------------------------------
+# -- the p-adic disc kernel ------------------------------------------------------
 
 
 _NOT_REAL = "non-archimedean places are defined on rational values only"
 
 
-def _scale(place: Place, *radii: AbsValue):
-    """(of, radii, value): of(x) is the magnitude q L(x) of an integer x, an
-    int (-inf for 0), radii the given radii p^e as the magnitudes q e, and
-    value(k) the radius of magnitude k.  The unit q = 2 (geometric means of
-    p-adic absolute values lie in (1/2)Z) grows to the lcm with the
-    denominator of each radius exponent that it does not clear."""
-    if place.kind != "padic":
-        raise PlaceError("the disc kernel needs a p-adic place")
-    p, q, exps = place.p, 2, []
-    for r in radii:
-        if r.__class__ is not ExactValue or r.p != p and r.e:
-            raise ValueError(f"disc radius {r!r} is not a power of {p}")
-        n, d = r.e.as_integer_ratio()
-        if q % d:
-            q = math.lcm(q, d)
-        exps.append((n, d))
-    return (lambda x: -padic_valuation(x, p) * q if x else -math.inf,
-            [n * (q // d) for n, d in exps],
-            lambda k: ExactValue(p, Fraction(k, q)))
+class _Balls:
+    """The p-adic disc kernel in the unit U of the given radii.
+
+    of(x) is the magnitude U L(x) of an integer x (-inf for 0), k(r) that
+    of one of the given radii r = p^e, and value(k) the radius of magnitude
+    k, one object per k.  U = 2 (geometric means of p-adic absolute values lie in
+    (1/2)Z) grows to the lcm with the denominator of each radius exponent
+    that it does not clear.  Centres are pairs (n, m), n/m in lowest terms.
+    """
+
+    __slots__ = ("p", "u", "values")
+
+    def __init__(self, place: Place, *radii: AbsValue):
+        if place.kind != "padic":
+            raise PlaceError("the disc kernel needs a p-adic place")
+        p, u = place.p, 2
+        for r in radii:
+            if r.__class__ is not ExactValue or r.p != p and r.e:
+                raise ValueError(f"disc radius {r!r} is not a power of {p}")
+            if u % r.e.denominator:
+                u = math.lcm(u, r.e.denominator)
+        self.p, self.u, self.values = p, u, {}
+
+    def value(self, k: int) -> ExactValue:
+        if k not in self.values:
+            self.values[k] = ExactValue(self.p, Fraction(k, self.u))
+        return self.values[k]
+
+    def of(self, x: int):
+        return -padic_valuation(x, self.p) * self.u if x else -math.inf
+
+    def k(self, r: ExactValue) -> int:
+        return r.e.numerator * (self.u // r.e.denominator)
+
+    def ball(self, disc: Disc) -> tuple:
+        return (*_ratio(disc.center), self.k(disc.radius), disc.chart == "inv")
+
+    def disc(self, ball: tuple) -> Disc:
+        n, m, k, inv = ball
+        return Disc(GaussianRational(Fraction(n, m)), self.value(k), "inv" if inv else "std")
+
+    def matrix(self, f: Moebius) -> tuple:
+        a, ai, b, bi, c, ci, d, di = f._n
+        if ai or bi or ci or di:
+            raise ImaginaryAtNonArch(_NOT_REAL)
+        return a, b, c, d, self.of(f._dn[0])
+
+    def image(self, g: tuple, ball: tuple) -> tuple:
+        """`image_of_disc`: g(ball), or PoleInsideDisc."""
+        (a, b, c, d, det), (n, m, k, inv), of = g, ball, self.of
+        if inv:  # the chart z -> 1/z: g * INVERSION swaps g's columns
+            a, b, c, d = b, a, d, c
+        # With z0 = n/m the entries of g(z + z0), times m, are A = a m,
+        # B = a n + b m, C = c m, D = c n + d m, of determinant (ad - bc) m^2; the
+        # factor m cancels in the centre B/D and in the radius |det| r / |D|^2.
+        B, D, am = a * n + b * m, c * n + d * m, of(m)
+        if (ad := of(D)) > k + of(c) + am:
+            x, y, k, inv = B, D, det + 2 * am + k - 2 * ad, False
+        elif (ab := of(B)) > k + of(a) + am:
+            x, y, k, inv = D, B, det + 2 * am + k - 2 * ab, True
+        else:
+            raise PoleInsideDisc("image is not a disc in either chart")
+        h = math.gcd(x, y) if y > 0 else -math.gcd(x, y)  # as Fraction(x, y) has it
+        return x // h, y // h, k, inv
+
+    def shape(self, ball: tuple) -> tuple:
+        """`disc_shape` on the integer form."""
+        n, m, k, inv = ball
+        if not inv:
+            return "std", (n, m), k
+        if (ac := self.of(n) - self.of(m)) > k:
+            return "std", (m, n), k - 2 * ac
+        return "codisc", (0, 1), -k
+
+    def inside(self, a: tuple, ra, b: tuple, rb, a_open=False, b_open=False) -> bool:
+        dist = _ball_dist(self.of, a, b)
+        if not b_open:
+            return dist <= rb and ra <= rb
+        return dist < rb and (ra <= rb if a_open else ra < rb)
+
+    def apart(self, a: tuple, ra, b: tuple, rb, b_open=False) -> bool:
+        dist = _ball_dist(self.of, a, b)
+        return dist > ra and (dist >= rb if b_open else dist > rb)
+
+    def subset(self, ball1: tuple, ball2: tuple) -> bool:
+        return _nested(self.shape(ball1), self.shape(ball2), self.inside, self.apart)
 
 
-def _dist(of, a: GaussianRational, b: GaussianRational):
-    """|a - b| as a magnitude: |n d' - n' d| / |d d'| for a = n/d, b = n'/d'."""
-    if a.im or b.im:
+def _ratio(x: GaussianRational) -> tuple[int, int]:
+    """(n, m) with x = n/m in lowest terms, m > 0; x must be real."""
+    if x.im:
         raise ImaginaryAtNonArch(_NOT_REAL)
-    (n, d), (n2, d2) = a.re.as_integer_ratio(), b.re.as_integer_ratio()
-    return of(n * d2 - n2 * d) - of(d * d2)
+    return x.re.as_integer_ratio()
 
 
-def _image_nonarch(place: Place, g: Moebius, disc: Disc) -> Disc:
-    # With z0 = n/m the entries of g(z + z0), times s m, are A = a m,
-    # B = a n + b m, C = c m, D = c n + d m, of determinant dn m^2; the
-    # factor s m cancels in the centre B/D and in the radius |det| r / |D|^2.
-    a, ai, b, bi, c, ci, d, di = g._n
-    if disc.center.im or ai or bi or ci or di:
-        raise ImaginaryAtNonArch(_NOT_REAL)
-    n, m = disc.center.re.as_integer_ratio()
-    of, (r,), value = _scale(place, disc.radius)
-    A, B, C, D = a * m, a * n + b * m, c * m, c * n + d * m
-    det, ad, ac = of(g._dn[0] * m * m), of(D), of(C)
-    if ad > r + ac:
-        return Disc(GaussianRational(Fraction(B, D)), value(det + r - 2 * ad), "std")
-    ab, aa = of(B), of(A)
-    if ab > r + aa:
-        return Disc(GaussianRational(Fraction(D, B)), value(det + r - 2 * ab), "inv")
-    raise PoleInsideDisc("image is not a disc in either chart")
+def _ball_dist(of, a: tuple, b: tuple):
+    """|a - b| as a magnitude: |n m' - n' m| / |m m'| for a = n/m, b = n'/m'."""
+    (n, m), (n2, m2) = a, b
+    return of(n * m2 - n2 * m) - of(m * m2)
 
 
 def _image_arch(g: Moebius, disc: Disc) -> Disc:
@@ -585,11 +647,9 @@ def disc_shape(place: Place, disc: Disc):
         return ("std", disc.center, disc.radius)
     c, r = disc.center, disc.radius
     if place.is_nonarchimedean:
-        of, (lr,), value = _scale(place, r)
-        ac = _dist(of, c, ZERO)
-        if ac > lr:
-            return ("std", GaussianRational(1 / c.re), value(lr - 2 * ac))
-        return ("codisc", GaussianRational(0), r ** -1)
+        balls = _Balls(place, r)
+        kind, (n, m), k = balls.shape(balls.ball(disc))
+        return kind, GaussianRational(Fraction(n, m)), balls.value(k)
     zc = c.to_complex()
     rf = r.to_float()
     ac = abs(zc)
@@ -613,11 +673,8 @@ def ball_inside(place: Place, a: GaussianRational, ra: AbsValue, b: GaussianRati
     one iff dist < rb and ra <= rb.  Archimedean: sign of rb - dist - ra.
     """
     if place.is_nonarchimedean:
-        of, (ra, rb), _ = _scale(place, ra, rb)
-        dist = _dist(of, a, b)
-        if not b_open:
-            return dist <= rb and ra <= rb
-        return dist < rb and (ra <= rb if a_open else ra < rb)
+        balls = _Balls(place, ra, rb)
+        return balls.inside(_ratio(a), balls.k(ra), _ratio(b), balls.k(rb), a_open, b_open)
     dist = abs_value(place, a - b)
     return _arch_sign(rb.to_float() - dist.to_float() - ra.to_float(),
                       rb.to_float() + dist.to_float() + ra.to_float())
@@ -632,9 +689,8 @@ def balls_apart(place: Place, a: GaussianRational, ra: AbsValue, b: GaussianRati
     dist - ra - rb.
     """
     if place.is_nonarchimedean:
-        of, (ra, rb), _ = _scale(place, ra, rb)
-        dist = _dist(of, a, b)
-        return dist > ra and (dist >= rb if b_open else dist > rb)
+        balls = _Balls(place, ra, rb)
+        return balls.apart(_ratio(a), balls.k(ra), _ratio(b), balls.k(rb), b_open)
     dist = abs_value(place, a - b)
     return _arch_sign(dist.to_float() - ra.to_float() - rb.to_float(),
                       dist.to_float() + ra.to_float() + rb.to_float())
@@ -662,13 +718,19 @@ def discs_disjoint(place: Place, d1: Disc, d2: Disc) -> Optional[bool]:
 
 def disc_subset(place: Place, d1: Disc, d2: Disc) -> Optional[bool]:
     """Whether d1 is contained in d2 (True / False / None)."""
-    (k1, a, ra), (k2, b, rb) = disc_shape(place, d1), disc_shape(place, d2)
+    return _nested(disc_shape(place, d1), disc_shape(place, d2),
+                   partial(ball_inside, place), partial(balls_apart, place))
+
+
+def _nested(s1: tuple, s2: tuple, inside, apart):
+    """Whether the shape s1 lies in s2, by the place's ball tests."""
+    (k1, a, ra), (k2, b, rb) = s1, s2
     if k2 == "std":  # a codisc holds infinity, so it lies in no std disc
-        return k1 == "std" and ball_inside(place, a, ra, b, rb)
+        return k1 == "std" and inside(a, ra, b, rb)
     if k1 == "std":  # std inside the complement of the open B(b, rb)
-        return balls_apart(place, a, ra, b, rb, b_open=True)
+        return apart(a, ra, b, rb, b_open=True)
     # codisc inside codisc: the removed open balls nest the other way.
-    return ball_inside(place, b, rb, a, ra, a_open=True, b_open=True)
+    return inside(b, rb, a, ra, a_open=True, b_open=True)
 
 
 def discs_equal(place: Place, d1: Disc, d2: Disc) -> Optional[bool]:

@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exactnum import GaussianRational, padic_valuation
-from .moebius import Disc, NotLoxodromic, _dist, disc_shape, multiplier_valuation
+from .moebius import (Disc, NotLoxodromic, _ball_dist, _ratio, disc_shape,
+                      multiplier_valuation)
 from .places import AbsValue, ExactValue, Place, abs_value
 from .figures import (
     ReducedWord,
@@ -224,8 +225,9 @@ def build_tree(fig: SchottkyFigure) -> MetricTree:
     def of(x: int):  # the depth of |x|
         return padic_valuation(x, p) * unit if x else math.inf
 
-    apart = {(a, b): _dist(of, ca, cb)
-             for (a, ca), (b, cb) in itertools.product(enumerate(centres), repeat=2)}
+    ratios = [_ratio(c) for c in centres]
+    apart = {(a, b): _ball_dist(of, ca, cb)
+             for (a, ca), (b, cb) in itertools.product(enumerate(ratios), repeat=2)}
 
     # Leaves plus all pairwise joins; joins of joins add nothing new.
     points: list[list] = []  # [centre index, depth, labels]

@@ -12,7 +12,7 @@ from schottky import (
     schottky_point,
 )
 from schottky.exactnum import GaussianRational
-from schottky.moebius import KoebeTriple, Moebius, ProjPoint
+from schottky.moebius import KoebeTriple, Moebius
 
 
 @pytest.fixture

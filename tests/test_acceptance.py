@@ -6,9 +6,7 @@ and `pytest -v` gives the same information per test name.
 """
 
 import contextlib
-import io
 import json
-import sys
 import time
 from fractions import Fraction
 
@@ -48,14 +46,12 @@ from schottky.figures import (
 from schottky.moebius import (
     IDENTITY,
     Disc,
-    KoebeTriple,
     Moebius,
     ProjPoint,
     disc_shape,
 )
 from schottky.places import ExactValue, ONE_ABS
 from schottky.skeleton import build_tree, glue_skeleton, shilov_join
-from schottky.figures import spherical_radius
 from schottky.outer import (
     NielsenWord,
     apply_word,

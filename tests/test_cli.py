@@ -54,6 +54,16 @@ ARCH_CI_CROWDED = json.dumps({
 })
 
 
+# g = 3, archimedean: certified by Ford discs, but from depth 5 on the
+# float discs no longer certify that B+(w) lies in its prefix's disc.
+ARCH_G3_FLOAT_LIMIT = json.dumps({
+    "place": {"kind": "archimedean", "eps": "1"},
+    "g": 3,
+    "koebe": [{"beta": "1/202"}, {"beta": "1/319", "alpha_prime": "3/4"},
+              {"beta": "1/335", "alpha": "-7/4", "alpha_prime": "-9/4"}],
+})
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -178,6 +188,22 @@ def test_limitset_svg(tmp_path, capsys):
     assert rep["count"] == 12
     svg = out.read_text()
     assert svg.startswith("<svg") and svg.count("<circle") == 16
+
+
+def test_limitset_uncertified_float_nesting_is_unknown(tmp_path, capsys):
+    # Used to end in a ValueError traceback: a disc radius that was not positive.
+    out = tmp_path / "l.svg"
+    argv = ["limitset", "--json", ARCH_G3_FLOAT_LIMIT, "--out", str(out)]
+    code, rep = run(capsys, *argv, "--depth", "4")
+    assert code == EXIT_YES and rep["count"] == 6 * 5 ** 3
+    out.unlink()
+    code, rep = run(capsys, *argv, "--depth", "5")
+    assert code == EXIT_UNKNOWN
+    assert rep == {"command": "limitset", "depth": 5, "is_in_SB": "yes",
+                   "limit_set": "unknown", "word": [3, 2, 3, 2, -3],
+                   "reason": "word disc not nested inside its prefix at "
+                             "(3, 2, 3, 2, -3)"}
+    assert not out.exists()
 
 
 def test_limitset_svg_unwritable(tmp_path, capsys):

@@ -57,6 +57,12 @@ ARCH_G2 = json.dumps({
     "koebe": [{"beta": "1/100"}, {"beta": "1/100", "alpha_prime": "-1"}],
 })
 
+G2_HALF = json.dumps({
+    "place": {"kind": "padic", "p": 3},
+    "g": 2,
+    "koebe": [{"beta": "27"}, {"beta": "9", "alpha_prime": "1/3"}],
+})
+
 RANK1 = json.dumps({
     "place": {"kind": "padic", "p": 3},
     "g": 1,
@@ -72,6 +78,8 @@ CASES = {
     "verify_arch_yes": ["verify", "--json", ARCH_G2],
     "limitset_padic_depth2": ["limitset", "--json", DUMBBELL,
                               "--depth", "2"],
+    "limitset_padic_g2_depth4": ["limitset", "--json", G2_HALF,
+                                 "--depth", "4"],
     "skeleton_dumbbell": ["skeleton", "--json", DUMBBELL],
     "act_s2_s4": ["act", "--json", DUMBBELL, "--word", "s2,s4"],
     "hybrid_default_grid": [

@@ -519,6 +519,52 @@ def test_limit_sample_counts_and_decay(dumbbell):
         limit_sample(fig, 10, budget=1000)
 
 
+def _certified(rng, place: Place, g: int) -> SchottkyFigure:
+    """A seeded figure: windows at a p-adic place, Ford discs (multipliers
+    1/k, k in [100, 400]) at the archimedean one."""
+    while True:
+        if place.is_archimedean:
+            betas = [Fraction(1, rng.randint(100, 400)) for _ in range(g)]
+            try:
+                pt = schottky_point(place, betas, rng.sample(FIXED_POOL, max(2 * g - 3, 0)))
+            except ValueError:
+                continue
+        else:
+            pt = random_point(rng, place, g, val_range=(5, 9))
+        sb = is_in_SB(pt) if pt is not None else None
+        if sb is not None and sb.status == "yes":
+            return sb.figure
+
+
+@pytest.mark.parametrize("place", [P2, P3, Place.padic(5), Place.archimedean()],
+                         ids=["p2", "p3", "p5", "arch"])
+def test_limit_sample_discs_are_word_discs(place):
+    # One generator per step applies the same maps to the same discs as
+    # word_disc, so even float discs agree exactly.
+    rng = seeded(8600 + (place.p or 0))
+    for g in (1, 2, 2, 3):
+        fig = _certified(rng, place, g)
+        samp = limit_sample(fig, 4 if g < 3 else 3)
+        for level in samp.levels.values():
+            for w, d in level:
+                assert d == word_disc(fig, w)
+
+
+def test_padic_limit_sample_forms_no_moebius_product(dumbbell, monkeypatch):
+    fig, calls, mul = normalized_figure(dumbbell), [], Moebius.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Moebius, "__mul__", counted)
+    samp = limit_sample(fig, 4)
+    assert calls == []
+    assert {d.chart for _, d in samp.discs} == {"std", "inv"}
+    fig.gen(1) * fig.gen(2)
+    assert len(calls) == 1
+
+
 def test_spherical_radius_chart_free():
     # The spherical size of a disc well inside the unit disc equals its
     # radius, and is preserved by z -> 1/z (an isometry of the sphere).

@@ -12,7 +12,6 @@ from schottky.moebius import (
     ARCH_TOL,
     Disc,
     DegenerateConfiguration,
-    IDENTITY,
     INVERSION,
     KoebeTriple,
     Moebius,

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dumbbell_point, seeded, random_point
+from conftest import seeded, random_point
 from schottky import (
     NielsenWord,
     Place,
@@ -147,7 +147,7 @@ def test_rank_one_normalization():
 def test_degenerate_normalization():
     pt = schottky_point(P2, [Fraction(4)])
     with pytest.raises(DegenerateFixedPoints):
-        from schottky.outer import _normalize_triples, _invert_triple
+        from schottky.outer import _normalize_triples
         t = pt.triples[0]
         _normalize_triples(P2, (t, t))
 
